@@ -186,26 +186,27 @@ def cmd_sweep(args) -> None:
             return _sweep_zero_gap(value)
         return _sweep_operator_bounds(value, args.n)
 
-    results: dict[float, tuple[dict | None, str]] = {}
+    results: list[tuple[dict | None, str]] = []  # one entry per grid position
     workers = _sweep_workers()
     if workers <= 1 or len(grid) <= 1:
         for v in grid:
             try:
-                results[v] = (run_one(v), "")
+                results.append((run_one(v), ""))
             except SzegoLabError as exc:
-                results[v] = (None, f"{type(exc).__name__}: {exc}")
+                results.append((None, f"{type(exc).__name__}: {exc}"))
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = {v: pool.submit(run_one, v) for v in grid}
-            for v, fut in futures.items():
+            futures = [pool.submit(run_one, v) for v in grid]
+            for fut in futures:
                 try:
-                    results[v] = (fut.result(), "")
+                    results.append((fut.result(), ""))
                 except SzegoLabError as exc:
-                    results[v] = (None, f"{type(exc).__name__}: {exc}")
+                    results.append((None, f"{type(exc).__name__}: {exc}"))
 
     rows = []
-    for v in sorted(results):  # sorted by grid key for determinism
-        row_dict, err = results[v]
+    for i in sorted(range(len(grid)), key=grid.__getitem__):  # by value, ties in grid order
+        v = grid[i]
+        row_dict, err = results[i]
         if row_dict is None:
             rows.append([fmt(v)] + [""] * (len(columns) - 1) + [err])
         else:

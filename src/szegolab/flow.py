@@ -39,12 +39,7 @@ def szego_rhs(u: HardyFunction) -> HardyFunction:
     The cubic term of an M-mode function has bandwidth below 2M, so 4M
     nodes make the projection to the first M modes alias-free.
     """
-    m = len(u)
-    k = 4 * m
-    vals = np.fft.ifft(u.coeffs, n=k) * k
-    w = vals * vals * np.conj(vals)
-    what = np.fft.fft(w) / k
-    return HardyFunction(-1j * what[:m], u.declared_radius)
+    return HardyFunction(_rhs_raw(u.coeffs, 4 * len(u)), u.declared_radius)
 
 
 def _rhs_raw(c: np.ndarray, k: int) -> np.ndarray:
@@ -67,8 +62,9 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
     take = min(len(u0), m)
     c[:take] = u0.coeffs[:take]
     sup = float(np.abs(np.fft.ifft(c, n=4 * m) * 4 * m).max())
-    if dt * sup ** 2 > 0.1:
-        raise ValidationError(f"dt = {dt:g} too large for |u|^2 = {sup**2:.3g} (dt |u|^2 <= 0.1)")
+    # compared as |u| <= sqrt(0.1 / dt) so huge data cannot overflow the check
+    if not sup <= np.sqrt(0.1 / dt):
+        raise ValidationError(f"dt = {dt:g} too large for max |u| = {sup:.3g} (dt |u|^2 <= 0.1)")
 
     n_steps = max(int(round(t_final / dt)), 1) if t_final > 0 else 0
     dt_eff = t_final / n_steps if n_steps else dt
@@ -79,7 +75,7 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
     for step in range(n_steps + 1):
         if step in sample_at:
             mass = float(np.sum(np.abs(c) ** 2))
-            if mass0 > 0 and abs(mass - mass0) > mass_drift_limit * mass0:
+            if not abs(mass - mass0) <= mass_drift_limit * mass0:  # NaN trips too
                 raise BlowupDetected(
                     f"mass drifted from {mass0:.6e} to {mass:.6e} at t = {step * dt_eff:.6g}")
             out.append(FlowState(HardyFunction(c.copy()), t=step * dt_eff, dt=dt_eff, m=m))

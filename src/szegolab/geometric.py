@@ -308,9 +308,7 @@ def toeplitz_truncated(coeff_fn, n: int) -> np.ndarray:
 
 def _geometric_toeplitz(p: GeometricParams, z: complex, r: float, n: int) -> np.ndarray:
     """T[j, k] = r^(k-j) (1 - z omega^(2(k-j)+1)) / (1 - gamma^(2(k-j)+1))."""
-    c = np.array([phi_laurent_coeff(p, z, m, r) for m in range(-(n - 1), n)], dtype=complex)
-    jj, kk = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return c[(kk - jj) + n - 1]
+    return toeplitz_truncated(lambda m: phi_laurent_coeff(p, z, -m, r), n)
 
 
 def u_via_toeplitz(p: GeometricParams, z: complex, r: float = DEFAULT_R, n: int = 20) -> complex:
@@ -407,19 +405,12 @@ def wiener_hopf_inverse_residual(grid: SymbolGrid, n: int, factors: WienerHopfFa
     """
     f = factors if factors is not None else wiener_hopf_factorize(grid)
     k = grid.nodes
-
-    def coeffs_of(values):
-        ch = np.fft.fft(values) / k
-        freq = np.fft.fftfreq(k, 1.0 / k).astype(int)
-        lookup = np.zeros(2 * n - 1, dtype=complex)
-        for m in range(-(n - 1), n):
-            lookup[m + n - 1] = ch[np.nonzero(freq == m)[0][0]]
-        return lookup
+    if n > k // 2:
+        raise ValidationError(f"matrix size {n} needs modes beyond the {k}-node grid")
 
     def toeplitz_of(values):
-        c = coeffs_of(values)
-        jj, kk = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-        return c[(jj - kk) + n - 1]
+        ch = np.fft.fft(values) / k
+        return toeplitz_truncated(lambda m: ch[m % k], n)
 
     t_phi = toeplitz_of(grid.values)
     t_p = toeplitz_of(1.0 / f.plus_values)

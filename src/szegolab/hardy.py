@@ -73,12 +73,21 @@ class HardyFunction:
         if [h.strip() for h in header] != ["n", "re", "im"]:
             raise ValidationError(f"{path}: expected header n,re,im, got {header}")
         coeffs = np.zeros(len(rows), dtype=complex)
+        seen = set()
         for row in rows:
             try:
                 n = int(row[0])
-                coeffs[n] = complex(float(row[1]), float(row[2]))
+                value = complex(float(row[1]), float(row[2]))
             except (IndexError, ValueError) as exc:
                 raise ValidationError(f"{path}: bad row {row}: {exc}") from exc
+            # len(rows) distinct indices in 0..len-1 leave no gap
+            if not 0 <= n < len(rows):
+                raise ValidationError(f"{path}: bad row {row}: n = {n} outside 0..{len(rows) - 1}, "
+                                      f"so some index is missing")
+            if n in seen:
+                raise ValidationError(f"{path}: bad row {row}: n = {n} repeated")
+            seen.add(n)
+            coeffs[n] = value
         return cls(coeffs)
 
 

@@ -20,11 +20,10 @@ import numpy as np
 
 from .errors import AnglesNotZero, DegenerateSpectrum, SingularMatrix, ValidationError
 from .fileio import dump_json, load_json
-from .hardy import HardyFunction, coeffs_from_disc_samples
+from .hardy import HardyFunction
 
 EPS_DEN = 1e-13    # relative-cancellation threshold for s_odd^2 - s_even^2
-EPS_COND = 1e12    # condition ceiling for dense solves
-DENSE_RANGE = 1e10  # largest (s_1/s_min)^2 for which the dense path is used
+EPS_COND = 1e12    # condition ceiling for the solve against I - z P
 
 
 @dataclass(frozen=True)
@@ -99,13 +98,6 @@ class SpectralData:
         dump_json(self.to_json_obj(), path)
 
 
-@dataclass(frozen=True)
-class CMatrix:
-    matrix: np.ndarray
-    z: complex
-    data: SpectralData
-
-
 def _check_denominators(d: SpectralData) -> None:
     # degeneracy means catastrophic cancellation in x_j - y_k, so the guard is
     # relative to the operands; an absolute floor would reject healthy data
@@ -119,13 +111,13 @@ def _check_denominators(d: SpectralData) -> None:
             f"|s_{2*j+1}^2 - s_{2*k+2}^2| cancels to {rel.min():.3e} relative, below {EPS_DEN:g}")
 
 
-def build_c_matrix(d: SpectralData, z: complex) -> CMatrix:
+def build_c_matrix(d: SpectralData, z: complex) -> np.ndarray:
     """The N x N reconstruction matrix at evaluation point z."""
     _check_denominators(d)
     a = d.s_odd * np.exp(1j * d.psi_odd)
     b = d.s_even * np.exp(1j * d.psi_even)
     den = d.s_odd[:, None] ** 2 - d.s_even[None, :] ** 2
-    return CMatrix(matrix=(a[:, None] - z * b[None, :]) / den, z=complex(z), data=d)
+    return (a[:, None] - z * b[None, :]) / den
 
 
 def build_cdot_matrix(d: SpectralData) -> np.ndarray:
@@ -148,7 +140,9 @@ def _log_abs_diff(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
 
 
 def _inverse_log_parts(d: SpectralData):
-    """Log magnitudes, signs and column phases of the explicit C(0) inverse."""
+    """Log magnitudes, signs and column phases of the explicit C(0) inverse,
+    and lxy = log|x_j - y_k| for x = s_odd^2, y = s_even^2.
+    """
     _check_denominators(d)
     n = d.n_pairs
     logx = 2.0 * np.log(d.s_odd)
@@ -165,7 +159,7 @@ def _inverse_log_parts(d: SpectralData):
     sgn = np.where(jj <= kk, 1.0, -1.0)
     logmag = log_alpha[jj] + log_beta[kk] - lxy[jj, kk] - np.log(d.s_odd)[jj]
     col_phase = np.exp(-1j * d.psi_odd)
-    return logmag, sgn, col_phase
+    return logmag, sgn, col_phase, lxy
 
 
 def cauchy_inverse_c0(d: SpectralData) -> np.ndarray:
@@ -174,7 +168,7 @@ def cauchy_inverse_c0(d: SpectralData) -> np.ndarray:
     Products are accumulated in log space so the formula stays usable for
     strongly decaying data where a dense solve has nothing left to offer.
     """
-    logmag, sgn, col_phase = _inverse_log_parts(d)
+    logmag, sgn, col_phase, _ = _inverse_log_parts(d)
     return sgn * np.exp(logmag) * col_phase[None, :]
 
 
@@ -186,13 +180,10 @@ def cauchy_neumann_factors(d: SpectralData):
     P is assembled column by column from log magnitudes so no intermediate
     product can overflow or lose underflowed contributions.
     """
-    logmag, sgn, col_phase = _inverse_log_parts(d)
+    logmag, sgn, col_phase, lxy = _inverse_log_parts(d)
     n = d.n_pairs
     c = (sgn * np.exp(logmag) * col_phase[None, :]).sum(axis=1)
 
-    logx = 2.0 * np.log(d.s_odd)
-    logy = 2.0 * np.log(d.s_even)
-    lxy = _log_abs_diff(logx[:, None], logy[None, :])
     log_cdot = np.log(d.s_even)[None, :] - lxy               # log|cdot_{j,l}|
     jj, ll = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     sgn_cdot = np.where(jj <= ll, 1.0, -1.0)
@@ -205,32 +196,22 @@ def cauchy_neumann_factors(d: SpectralData):
     return c, p
 
 
-def reconstruct_point(d: SpectralData, z: complex, method: str = "auto") -> complex:
+def reconstruct_point(d: SpectralData, z: complex, method: str = "neumann") -> complex:
     """u(z) = <C(z)^(-1) 1, 1>.
 
-    method "dense" solves C(z) x = 1 by partial-pivoted factorization and is
-    the default for well-scaled data; "neumann" goes through the explicit
-    C(0) inverse and the well-scaled system (I - z P) w = c, which survives
-    the extreme dynamic ranges where the dense matrix is unusable.
+    Goes through the explicit C(0) inverse and solves the well-scaled
+    system (I - z P) w = c, which holds up at dynamic ranges where a dense
+    factorization of C(z) is unusable.  "neumann" is the only method.
     """
-    if method == "auto":
-        method = "dense" if (d.s[0] / d.s[-1]) ** 2 <= DENSE_RANGE else "neumann"
-    if method == "dense":
-        cm = build_c_matrix(d, z).matrix
-        cond = np.linalg.cond(cm)
-        if not np.isfinite(cond) or cond > EPS_COND:
-            raise SingularMatrix(f"cond(C(z)) = {cond:.3e} exceeds {EPS_COND:g} at z = {z}")
-        x = np.linalg.solve(cm, np.ones(d.n_pairs, dtype=complex))
-        return complex(x.sum())
-    if method == "neumann":
-        c, p = cauchy_neumann_factors(d)
-        m = np.eye(d.n_pairs, dtype=complex) - z * p
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond > EPS_COND:
-            raise SingularMatrix(f"cond(I - z P) = {cond:.3e} exceeds {EPS_COND:g} at z = {z}")
-        w = np.linalg.solve(m, c)
-        return complex(w.sum())
-    raise ValidationError(f"unknown method {method!r}")
+    if method != "neumann":
+        raise ValidationError(f"unknown method {method!r}")
+    c, p = cauchy_neumann_factors(d)
+    m = np.eye(d.n_pairs, dtype=complex) - z * p
+    cond = np.linalg.cond(m)
+    if not np.isfinite(cond) or cond > EPS_COND:
+        raise SingularMatrix(f"cond(I - z P) = {cond:.3e} exceeds {EPS_COND:g} at z = {z}")
+    w = np.linalg.solve(m, c)
+    return complex(w.sum())
 
 
 def taylor_coefficients(d: SpectralData, m: int) -> np.ndarray:
@@ -244,27 +225,15 @@ def taylor_coefficients(d: SpectralData, m: int) -> np.ndarray:
     return out
 
 
-def reconstruct_function(d: SpectralData, m: int, method: str = "series",
-                         r0: float = 0.75) -> HardyFunction:
+def reconstruct_function(d: SpectralData, m: int) -> HardyFunction:
     """HardyFunction with m Taylor coefficients of the reconstruction.
 
-    "series" expands u(z) = sum z^n (1^T P^n c) directly; every coefficient
-    comes out at working precision with no radius choice.  "samples"
-    evaluates u on circles of radius r0 and 0.9*r0 and extracts coefficients
-    by DFT with the two-radius consistency check; its high modes inherit the
-    r0^(-n) roundoff amplification, so it is kept for cross-validation and
-    modest m.
+    Expands u(z) = sum z^n (1^T P^n c) directly, so every coefficient comes
+    out at working precision with no radius choice.
     """
     if m < 1:
         raise ValidationError(f"need m >= 1 coefficients, got {m}")
-    if method == "series":
-        return HardyFunction(taylor_coefficients(d, m))
-    if method == "samples":
-        def f(z):
-            zs = np.atleast_1d(np.asarray(z, dtype=complex))
-            return np.array([reconstruct_point(d, zz) for zz in zs])
-        return coeffs_from_disc_samples(f, r0=r0, m=m)
-    raise ValidationError(f"unknown method {method!r}")
+    return HardyFunction(taylor_coefficients(d, m))
 
 
 # --- explicit-constant bounds ------------------------------------------
@@ -330,7 +299,7 @@ def operator_bounds(d: SpectralData) -> OperatorBounds:
     delta = d.delta()
     if delta >= 1.0:
         raise ValidationError(f"s must be strictly decreasing, got ratio {delta}")
-    logmag, _, _ = _inverse_log_parts(d)
+    logmag = _inverse_log_parts(d)[0]
     inv_sum = float(np.exp(logmag).sum())
     _, p = cauchy_neumann_factors(d)
     l1 = float(np.abs(p).sum(axis=0).max())
@@ -355,7 +324,7 @@ def entry_bound_table(d: SpectralData):
     """
     delta = d.delta()
     n = d.n_pairs
-    logmag, _, _ = _inverse_log_parts(d)
+    logmag = _inverse_log_parts(d)[0]
     abs_entries = np.exp(logmag)
     jj, kk = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1))
     pattern = np.where(jj < kk, delta ** (2.0 * (kk - jj)),

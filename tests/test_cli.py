@@ -143,6 +143,16 @@ def test_sweep_determinism(tmp_path, monkeypatch):
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
+def test_sweep_keeps_repeated_grid_values(tmp_path, monkeypatch):
+    for threads in ("0", "2"):
+        monkeypatch.setenv("SZEGO_LAB_THREADS", threads)
+        out_csv = tmp_path / f"rep{threads}.csv"
+        assert main(["sweep", "--task", "zero-gap", "--grid", "0.5,0.5,0.3",
+                     "--out", str(out_csv)]) == 0
+        _, rows = read_csv(out_csv)
+        assert [float(r[0]) for r in rows] == [0.3, 0.5, 0.5]
+
+
 def test_bad_grid_exit_2(tmp_path, capsys):
     assert main(["sweep", "--task", "zero-gap", "--grid", "0.1:0.9", "--out",
                  str(tmp_path / "x.csv")]) == 2
@@ -152,6 +162,14 @@ def test_bad_thread_env_exit_2(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("SZEGO_LAB_THREADS", "many")
     assert main(["sweep", "--task", "zero-gap", "--grid", "0.3", "--out",
                  str(tmp_path / "x.csv")]) == 2
+
+
+def test_spectrum_bad_index_csv_exit_2(tmp_path, capsys):
+    # n = -1 would land in the last slot and the second n = 1 would overwrite the first
+    coeffs = tmp_path / "c.csv"
+    coeffs.write_text("n,re,im\n0,1,0\n1,0.5,0\n2,0.25,0\n-1,9,0\n1,0.7,0\n")
+    assert main(["spectrum", "--coeffs", str(coeffs), "--M", "8"]) == 2
+    assert "['-1', '9', '0']" in capsys.readouterr().err
 
 
 def test_spectrum_csv_export(pair1, tmp_path, capsys):

@@ -100,6 +100,8 @@ def test_step_validation():
         integrate(HardyFunction(np.array([1.0])), 1.0, -1e-3, 4)
     with pytest.raises(ValidationError):
         integrate(HardyFunction(np.array([10.0])), 1.0, 1e-2, 4)  # dt |u|^2 > 0.1
+    with pytest.raises(ValidationError):
+        integrate(HardyFunction(np.array([1e200])), 1.0, 1e-3, 4)  # |u|^2 overflows
 
 
 def test_blowup_guard_trips_on_corrupted_rhs(monkeypatch):
@@ -111,6 +113,14 @@ def test_blowup_guard_trips_on_corrupted_rhs(monkeypatch):
     monkeypatch.setattr(flow_mod, "_rhs_raw", bad_rhs)
     with pytest.raises(BlowupDetected):
         flow_mod.integrate(HardyFunction(np.array([1.0 + 0j])), 10.0, 0.05, 2, n_samples=40)
+
+
+def test_blowup_guard_trips_on_nan_rhs(monkeypatch):
+    import szegolab.flow as flow_mod
+
+    monkeypatch.setattr(flow_mod, "_rhs_raw", lambda c, k: np.full(c.size, np.nan + 0j))
+    with pytest.raises(BlowupDetected):
+        flow_mod.integrate(HardyFunction(np.array([1.0 + 0j])), 0.1, 0.05, 2)
 
 
 # --- route comparison ----------------------------------------------------------------

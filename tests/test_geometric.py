@@ -325,6 +325,13 @@ def test_wh_inverse_interior_block():
     assert wiener_hopf_inverse_residual(grid, 256) <= 1e-6
 
 
+def test_wh_inverse_size_limited_by_grid():
+    grid = SymbolGrid.sample(lambda zz: np.ones_like(zz), k=256)
+    assert wiener_hopf_inverse_residual(grid, 128) < 1e-14
+    with pytest.raises(ValidationError):
+        wiener_hopf_inverse_residual(grid, 129)
+
+
 def test_wh_rejects_nonzero_index():
     from szegolab import NonzeroIndex
     grid = SymbolGrid.sample(lambda zz: zz, k=256)

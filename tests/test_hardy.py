@@ -231,6 +231,15 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(u.coeffs, v.coeffs)
 
 
+def test_csv_rejects_bad_indices(tmp_path):
+    # a negative n, a repeated n and a gap each name the offending row
+    path = tmp_path / "u.csv"
+    for ns, bad in (([0, 1, 2, -1, 1], "-1"), ([0, 1, 1], "n = 1 repeated"), ([0, 2], "n = 2")):
+        path.write_text("n,re,im\n" + "".join(f"{n},0.5,0\n" for n in ns))
+        with pytest.raises(ValidationError, match=bad):
+            HardyFunction.load_csv(path)
+
+
 def test_validation_errors():
     with pytest.raises(ValidationError):
         HardyFunction(np.array([]))
