@@ -30,16 +30,18 @@ def _print_kv(pairs) -> None:
 
 
 def _parse_complex(text: str) -> complex:
-    if "," in text:
-        re_s, im_s = text.split(",", 1)
-        try:
-            return complex(float(re_s), float(im_s))
-        except ValueError as exc:
-            raise ValidationError(f"bad complex value {text!r}: {exc}") from exc
+    """'re,im' or a Python complex literal; must be finite."""
     try:
-        return complex(text)
+        if "," in text:
+            re_s, im_s = text.split(",", 1)
+            value = complex(float(re_s), float(im_s))
+        else:
+            value = complex(text)
     except ValueError as exc:
         raise ValidationError(f"bad complex value {text!r}: {exc}") from exc
+    if not np.isfinite(value):
+        raise ValidationError(f"complex value must be finite, got {text!r}")
+    return value
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -118,6 +120,7 @@ def cmd_flow_compare(args) -> None:
 
 def cmd_geometric(args) -> None:
     params = geo.GeometricParams(h=args.h, theta=args.theta)
+    z = _parse_complex(args.z)  # parsed here, not by argparse, so a bad value exits 2
     gam = params.gamma
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -129,16 +132,16 @@ def cmd_geometric(args) -> None:
               [(float(r), "" if idx is None else idx) for r, idx in profile])
 
     n_values = sorted({max(2, args.n_max // 4), max(3, args.n_max // 2), args.n_max})
-    scan = geo.stability_scan(params, args.z, args.r, n_values)
+    scan = geo.stability_scan(params, z, args.r, n_values)
     write_csv(out_dir / "stability.csv", ["N", "inv_norm_2"], [(n, v) for n, v in scan])
 
     gap = geo.zero_gap(gam)
     for key, val in gap.as_dict().items():
         print(f"{key}={fmt(val)}")
 
-    u_t = geo.u_via_toeplitz(params, args.z, args.r, args.n_max)
+    u_t = geo.u_via_toeplitz(params, z, args.r, args.n_max)
     data = geo.geometric_spectral_data(params, args.n_max)
-    u_c = reconstruct_point(data, args.z, method="neumann")
+    u_c = reconstruct_point(data, z, method="neumann")
     _print_kv([("u_toeplitz", u_t), ("u_cauchy", u_c), ("route_delta", abs(u_t - u_c)),
                ("index_profile", str(out_dir / "index_profile.csv")),
                ("stability", str(out_dir / "stability.csv"))])
@@ -147,20 +150,18 @@ def cmd_geometric(args) -> None:
 # --- sweep ----------------------------------------------------------------
 
 
-def _sweep_zero_gap(gamma: float) -> dict:
-    return geo.zero_gap(gamma).as_dict()
-
-
 def _sweep_operator_bounds(delta: float, n: int) -> dict:
     s = delta ** np.arange(1, 2 * n + 1)
     data = SpectralData(s, np.zeros(2 * n))
     return operator_bounds(data).as_dict()
 
 
-SWEEP_TASKS = {
-    "zero-gap": (["gamma"], ["gamma", "min_unit", "max_inner_scaled", "gap", "poisson_bound"]),
-    "operator-bounds": (["delta"], ["delta", "l1_norm_c0inv_sum", "l1_norm_product",
-                                    "bound_value", "certified_radius", "c0inv_sum_bound"]),
+SWEEP_TASKS = {  # task -> (row function of (grid value, N), CSV columns)
+    "zero-gap": (lambda gamma, n: geo.zero_gap(gamma).as_dict(),
+                 ["gamma", "min_unit", "max_inner_scaled", "gap", "poisson_bound"]),
+    "operator-bounds": (_sweep_operator_bounds,
+                        ["delta", "l1_norm_c0inv_sum", "l1_norm_product",
+                         "bound_value", "certified_radius", "c0inv_sum_bound"]),
 }
 
 
@@ -176,32 +177,21 @@ def _sweep_workers() -> int:
 
 
 def cmd_sweep(args) -> None:
-    if args.task not in SWEEP_TASKS:
-        raise ValidationError(f"unknown sweep task {args.task!r}; choose from {sorted(SWEEP_TASKS)}")
     grid = _parse_grid(args.grid)
-    _, columns = SWEEP_TASKS[args.task]
+    row_fn, columns = SWEEP_TASKS[args.task]
 
-    def run_one(value: float) -> dict:
-        if args.task == "zero-gap":
-            return _sweep_zero_gap(value)
-        return _sweep_operator_bounds(value, args.n)
+    def run_one(value: float) -> tuple[dict | None, str]:
+        try:
+            return row_fn(value, args.n), ""
+        except SzegoLabError as exc:
+            return None, f"{type(exc).__name__}: {exc}"
 
-    results: list[tuple[dict | None, str]] = []  # one entry per grid position
     workers = _sweep_workers()
     if workers <= 1 or len(grid) <= 1:
-        for v in grid:
-            try:
-                results.append((run_one(v), ""))
-            except SzegoLabError as exc:
-                results.append((None, f"{type(exc).__name__}: {exc}"))
+        results = list(map(run_one, grid))  # one entry per grid position
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(run_one, v) for v in grid]
-            for fut in futures:
-                try:
-                    results.append((fut.result(), ""))
-                except SzegoLabError as exc:
-                    results.append((None, f"{type(exc).__name__}: {exc}"))
+            results = list(pool.map(run_one, grid))
 
     rows = []
     for i in sorted(range(len(grid)), key=grid.__getitem__):  # by value, ties in grid order
@@ -262,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("geometric", help="geometric-data certificates and route comparison")
     p.add_argument("--h", type=float, required=True)
     p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--z", type=_parse_complex, default=complex(0.0))
+    p.add_argument("--z", default="0")
     p.add_argument("--r", type=float, default=geo.DEFAULT_R)
     p.add_argument("--N-max", dest="n_max", type=int, default=20)
     p.add_argument("--out-dir", default=".")

@@ -19,6 +19,8 @@ from .hankel import pair_singular_values
 from .hardy import HardyFunction, sobolev_norm
 from .inverse import SpectralData, reconstruct_function
 
+MASS_DRIFT_LIMIT = 0.01  # largest tolerated relative mass drift along a trajectory
+
 
 @dataclass(frozen=True)
 class FlowState:
@@ -49,15 +51,15 @@ def _rhs_raw(c: np.ndarray, k: int) -> np.ndarray:
 
 
 def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
-              n_samples: int = 17, mass_drift_limit: float = 0.01) -> list[FlowState]:
+              n_samples: int = 17) -> list[FlowState]:
     """Classical RK4 trajectory of the direct flow, sampled n_samples times.
 
     The step count is rounded so the samples land on exact step multiples;
     mass is monitored because the flow conserves it exactly, and a drift
-    beyond mass_drift_limit aborts with BlowupDetected.
+    beyond MASS_DRIFT_LIMIT aborts with BlowupDetected.
     """
-    if dt <= 0 or t_final < 0:
-        raise ValidationError(f"need dt > 0 and t_final >= 0, got dt={dt}, T={t_final}")
+    if not (0 < dt < np.inf and 0 <= t_final < np.inf):  # NaN fails too
+        raise ValidationError(f"need finite dt > 0 and t_final >= 0, got dt={dt}, T={t_final}")
     c = np.zeros(m, dtype=complex)
     take = min(len(u0), m)
     c[:take] = u0.coeffs[:take]
@@ -75,7 +77,7 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
     for step in range(n_steps + 1):
         if step in sample_at:
             mass = float(np.sum(np.abs(c) ** 2))
-            if not abs(mass - mass0) <= mass_drift_limit * mass0:  # NaN trips too
+            if not abs(mass - mass0) <= MASS_DRIFT_LIMIT * mass0:  # NaN trips too
                 raise BlowupDetected(
                     f"mass drifted from {mass0:.6e} to {mass:.6e} at t = {step * dt_eff:.6g}")
             out.append(FlowState(HardyFunction(c.copy()), t=step * dt_eff, dt=dt_eff, m=m))

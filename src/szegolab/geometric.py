@@ -24,6 +24,11 @@ from .inverse import SpectralData
 
 EPS_POLE = 1e-6   # relative pole-distance guard
 EPS_ZERO = 1e-9   # contour zero guard
+EPS_TRUNC = 1e-13  # smallest/largest singular value floor of a truncated Toeplitz matrix
+F_TOL = 1e-14     # tail tolerance of the truncated kernel series
+WINDING_NODES = (256, 1 << 18)  # first and last node count of the winding refinement
+ZERO_GAP_GRID = 4096  # angle grid of the zero-gap scan
+ELLIPTIC_GRID = (6, 4)  # real x imaginary sample counts of the periodicity check
 DEFAULT_R = 0.95
 
 
@@ -53,11 +58,7 @@ def geometric_spectral_data(p: GeometricParams, n: int) -> SpectralData:
     return SpectralData(np.exp(-r * p.h), r * p.theta * p.h)
 
 
-def _truncation_order(gamma: float, tol: float) -> int:
-    return int(math.ceil(math.log(tol * (1.0 - gamma)) / math.log(gamma))) + 4
-
-
-def _check_pole_distance(gamma: float, zeta: np.ndarray, eps_pole: float) -> None:
+def _check_pole_distance(gamma: float, zeta: np.ndarray) -> None:
     mods = np.abs(np.atleast_1d(zeta))
     if np.any(mods == 0):
         raise NearPole("zeta = 0 is outside the kernel domain")
@@ -66,14 +67,14 @@ def _check_pole_distance(gamma: float, zeta: np.ndarray, eps_pole: float) -> Non
     for lq in (np.floor(l0), np.ceil(l0)):
         pole = gamma ** (2.0 * lq)
         rel = np.abs(np.atleast_1d(zeta) - pole) / pole
-        if np.any(rel < eps_pole):
+        if np.any(rel < EPS_POLE):
             i = int(np.argmin(rel))
-            raise NearPole(f"zeta = {np.atleast_1d(zeta)[i]:.9g} within {eps_pole:g} "
+            raise NearPole(f"zeta = {np.atleast_1d(zeta)[i]:.9g} within {EPS_POLE:g} "
                            f"relative of pole {pole if np.isscalar(pole) else pole[i]:.9g}")
 
 
-def f_gamma(gamma: float, zeta, tol: float = 1e-14, eps_pole: float = EPS_POLE):
-    """Two-sided pole series of the geometric kernel, truncated at the tol tail.
+def f_gamma(gamma: float, zeta):
+    """Two-sided pole series of the geometric kernel, truncated at the F_TOL tail.
 
     Terms decay like gamma^|l| in both directions; negative-l terms are
     rewritten as gamma^|l| / (gamma^(2|l|) - zeta) so nothing overflows.
@@ -82,8 +83,8 @@ def f_gamma(gamma: float, zeta, tol: float = 1e-14, eps_pole: float = EPS_POLE):
         raise ValidationError(f"gamma must be in (0, 1), got {gamma}")
     scalar = np.isscalar(zeta) or np.ndim(zeta) == 0
     zarr = np.atleast_1d(np.asarray(zeta, dtype=complex))
-    _check_pole_distance(gamma, zarr, eps_pole)
-    order = _truncation_order(gamma, tol)
+    _check_pole_distance(gamma, zarr)
+    order = int(math.ceil(math.log(F_TOL * (1.0 - gamma)) / math.log(gamma))) + 4
     total = np.zeros_like(zarr)
     for l in range(order + 1):
         total += gamma ** l / (1.0 - zarr * gamma ** (2 * l))
@@ -150,35 +151,26 @@ class SymbolGrid:
         return cls(radius=radius, values=np.asarray(fn(zeta), dtype=complex), z=z)
 
 
-def _winding_from_values(vals: np.ndarray, eps_zero: float):
+def _winding_from_values(vals: np.ndarray):
     mods = np.abs(vals)
-    if mods.min() <= eps_zero:
-        raise ZeroOnContour(f"min |symbol| = {mods.min():.3e} <= zero guard {eps_zero:g}")
+    if mods.min() <= EPS_ZERO:
+        raise ZeroOnContour(f"min |symbol| = {mods.min():.3e} <= zero guard {EPS_ZERO:g}")
     incr = np.angle(np.roll(vals, -1) / vals)
     return int(np.rint(incr.sum() / (2.0 * np.pi))), float(np.abs(incr).max())
 
 
-def winding_index(values, radius: float = 1.0, eps_zero: float = EPS_ZERO,
-                  k_start: int = 256, k_max: int = 1 << 18) -> int:
-    """Winding number around 0 from principal-branch argument increments.
+def winding_index(fn, radius: float = 1.0) -> int:
+    """Winding number around 0 of zeta -> fn(zeta) on |zeta| = radius.
 
-    Accepts a SymbolGrid (fixed samples) or a callable zeta -> value, which
-    is resampled at doubling node counts until every increment is below
-    pi/2 and two successive refinements give the same integer.
+    Counts principal-branch argument increments, resampling at doubling
+    node counts until every increment is below pi/2 and two successive
+    refinements give the same integer.
     """
-    if isinstance(values, SymbolGrid):
-        idx, max_incr = _winding_from_values(values.values, eps_zero)
-        half, _ = _winding_from_values(values.values[::2], eps_zero)
-        if max_incr >= np.pi / 2 or half != idx:
-            raise ValidationError(
-                f"grid of {values.nodes} nodes too coarse for a trustworthy index "
-                f"(max increment {max_incr:.3f}, half-grid index {half} vs {idx})")
-        return idx
-    k = k_start
+    k, k_max = WINDING_NODES
     prev = None
     while k <= k_max:
         zeta = radius * np.exp(2j * np.pi * np.arange(k) / k)
-        idx, max_incr = _winding_from_values(np.asarray(values(zeta), dtype=complex), eps_zero)
+        idx, max_incr = _winding_from_values(np.asarray(fn(zeta), dtype=complex))
         if max_incr < np.pi / 2 and prev == idx:
             return idx
         prev = idx
@@ -261,7 +253,7 @@ class ZeroGapReport:
                 "poisson_bound": self.poisson_bound}
 
 
-def zero_gap(gamma: float, grid_size: int = 4096) -> ZeroGapReport:
+def zero_gap(gamma: float) -> ZeroGapReport:
     """Gap between min |kernel| on |zeta|=1 and sqrt(gamma) max |kernel| on |zeta|=gamma.
 
     Both extrema come from the real closed-form series, scanned on an angle
@@ -270,7 +262,7 @@ def zero_gap(gamma: float, grid_size: int = 4096) -> ZeroGapReport:
     """
     if not (0.0 < gamma < 1.0):
         raise ValidationError(f"gamma must be in (0, 1), got {gamma}")
-    theta = np.linspace(0.0, np.pi, grid_size // 2 + 1)[1:]  # even in theta; exclude the pole at 0
+    theta = np.linspace(0.0, np.pi, ZERO_GAP_GRID // 2 + 1)[1:]  # even in theta; exclude the pole at 0
     mn = _refine_extremum(lambda t: _abs_on_unit_circle(gamma, t), theta, minimize=True)
     mx = _refine_extremum(lambda t: _abs_on_inner_circle(gamma, t), theta, minimize=False)
     scaled = math.sqrt(gamma) * mx
@@ -322,13 +314,19 @@ def u_via_toeplitz(p: GeometricParams, z: complex, r: float = DEFAULT_R, n: int 
     if not (gam < r < 1.0):
         raise ValidationError(f"need gamma = {gam:.6g} < r < 1, got r = {r}")
     t = _geometric_toeplitz(p, z, r, n)
-    sv = np.linalg.svd(t, compute_uv=False)
-    if sv[-1] < 1e-13 * sv[0]:
-        raise SingularTruncation(f"truncated Toeplitz matrix singular at n={n}, z={z}")
+    _min_singular_value(t, z)
     j = np.arange(1, n + 1, dtype=float)
     rhs = r ** (-j) * np.conj(p.omega) ** (2 * j - 1)
     x = np.linalg.solve(t, rhs)
     return complex(np.sum(x * r ** j))
+
+
+def _min_singular_value(t: np.ndarray, z: complex) -> float:
+    """Smallest singular value of a truncated Toeplitz matrix, which must not be singular."""
+    sv = np.linalg.svd(t, compute_uv=False)
+    if not sv[-1] >= EPS_TRUNC * sv[0]:  # NaN trips too
+        raise SingularTruncation(f"truncated Toeplitz matrix singular at n={t.shape[0]}, z={z}")
+    return float(sv[-1])
 
 
 def stability_scan(p: GeometricParams, z: complex, r: float, n_list) -> list[tuple[int, float]]:
@@ -340,10 +338,7 @@ def stability_scan(p: GeometricParams, z: complex, r: float, n_list) -> list[tup
     out = []
     for n in n_list:
         t = _geometric_toeplitz(p, z, r, int(n))
-        sv = np.linalg.svd(t, compute_uv=False)
-        if sv[-1] < 1e-13 * sv[0]:
-            raise SingularTruncation(f"truncated Toeplitz matrix singular at n={n}, z={z}")
-        out.append((int(n), float(1.0 / sv[-1])))
+        out.append((int(n), 1.0 / _min_singular_value(t, z)))
     return out
 
 
@@ -366,7 +361,7 @@ class WienerHopfFactors:
     minus_bar_coeffs: np.ndarray
 
 
-def wiener_hopf_factorize(grid: SymbolGrid, eps_zero: float = EPS_ZERO) -> WienerHopfFactors:
+def wiener_hopf_factorize(grid: SymbolGrid) -> WienerHopfFactors:
     """Split log(Phi) by Fourier-mode sign and exponentiate.
 
     Requires no zeros on the contour and winding index zero; the continuous
@@ -375,7 +370,7 @@ def wiener_hopf_factorize(grid: SymbolGrid, eps_zero: float = EPS_ZERO) -> Wiene
     """
     vals = grid.values
     k = grid.nodes
-    idx, max_incr = _winding_from_values(vals, eps_zero)
+    idx, max_incr = _winding_from_values(vals)
     if max_incr >= np.pi / 2:
         raise ValidationError(f"grid of {k} nodes too coarse to unwrap the symbol argument")
     if idx != 0:
@@ -439,7 +434,7 @@ class EllipticReport:
                 "zero_residual": self.zero_residual}
 
 
-def elliptic_check(p: GeometricParams, n_grid: int = 24) -> EllipticReport:
+def elliptic_check(p: GeometricParams) -> EllipticReport:
     """Double periodicity, pole coefficient and half-period zero of zeta f^2.
 
     With gamma = e^(-pi tau), g(w) = e^(2 i pi w) f_gamma(e^(2 i pi w))^2 is
@@ -456,8 +451,9 @@ def elliptic_check(p: GeometricParams, n_grid: int = 24) -> EllipticReport:
         zeta = np.exp(2j * np.pi * np.asarray(w, dtype=complex))
         return np.exp(2j * np.pi * np.asarray(w, dtype=complex)) * f_gamma(gam, zeta) ** 2
 
-    xs = np.linspace(0.12, 0.88, n_grid // 4)
-    ys = tau * np.linspace(-0.38, 0.38, max(n_grid // 6, 3))
+    nx, ny = ELLIPTIC_GRID
+    xs = np.linspace(0.12, 0.88, nx)
+    ys = tau * np.linspace(-0.38, 0.38, ny)
     w = (xs[:, None] + 1j * ys[None, :]).ravel()
     res1 = float(np.abs(g(w + 1.0) - g(w)).max())
     res_tau = float(np.abs(g(w + 1j * tau) - g(w)).max())

@@ -91,9 +91,9 @@ class HankelSpectrum:
             out[2 * n:] = self.sigma[n:]
         return out
 
-    def interlacing_ok(self, tau: float = TAU_EIG) -> bool:
+    def interlacing_ok(self) -> bool:
         s = self.merged()
-        return bool(np.all(s[:-1] >= s[1:] - tau))
+        return bool(np.all(s[:-1] >= s[1:] - TAU_EIG))
 
     def save_csv(self, path) -> None:
         rows = [(j + 1, "rho", float(v)) for j, v in enumerate(self.rho)]
@@ -101,29 +101,28 @@ class HankelSpectrum:
         write_csv(path, ["index", "kind", "value"], rows)
 
 
-def _gram_singular_values(a: np.ndarray, tau_rank: float, tau_eig: float) -> np.ndarray:
+def _gram_singular_values(a: np.ndarray) -> np.ndarray:
     lam = np.linalg.eigvalsh(a @ a.conj().T)[::-1]
     lam = np.clip(lam, 0.0, None)
     if lam.size == 0 or lam[0] == 0.0:
         return np.array([])
-    keep = lam > tau_rank * lam[0]
-    return _merge_close(np.sqrt(lam[keep]), tau_eig)
+    keep = lam > TAU_RANK * lam[0]
+    return _merge_close(np.sqrt(lam[keep]), TAU_EIG)
 
 
-def pair_singular_values(u: HardyFunction, m: int, tau_rank: float = TAU_RANK,
-                         tau_eig: float = TAU_EIG, tail_rtol: float = TAIL_RTOL) -> HankelSpectrum:
+def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     """Descending singular-value lists of the m x m plain and shifted Hankel matrices.
 
     The caller owns the truncation: if the coefficient vector extends past m,
-    the discarded trace must stay below tail_rtol of the total.
+    the discarded trace must stay below TAIL_RTOL of the total.
     """
     tm = tail_mass(u, m)
     total = sobolev_norm(u, 0.5) ** 2
-    if total > 0 and tm > tail_rtol * total:
+    if total > 0 and tm > TAIL_RTOL * total:
         raise InsufficientTruncation(
-            f"tail mass {tm:.3e} exceeds {tail_rtol:g} of total trace {total:.3e}; increase m={m}")
-    rho = _gram_singular_values(hankel_matrix(u, m), tau_rank, tau_eig)
-    sigma = _gram_singular_values(shifted_hankel_matrix(u, m), tau_rank, tau_eig)
+            f"tail mass {tm:.3e} exceeds {TAIL_RTOL:g} of total trace {total:.3e}; increase m={m}")
+    rho = _gram_singular_values(hankel_matrix(u, m))
+    sigma = _gram_singular_values(shifted_hankel_matrix(u, m))
     return HankelSpectrum(rho=rho, sigma=sigma, truncation_m=m, tail_mass=tm)
 
 

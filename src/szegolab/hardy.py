@@ -16,6 +16,7 @@ from .fileio import load_json, read_csv, write_csv
 TAU_POS = 1e-10  # absolute tolerance for "nonnegative real coefficient" checks
 DEFAULT_SAMPLE_RADIUS = 0.75
 OVERSAMPLE = 4
+CONSISTENCY_RTOL = 1e-9  # largest tolerated two-radius disagreement, relative to max |coefficient|
 
 
 @dataclass(frozen=True)
@@ -197,9 +198,7 @@ def _extract_at_radius(f, r0: float, m: int, k: int):
     return coeffs, float(np.abs(vals).max())
 
 
-def coeffs_from_disc_samples(f, r0: float = DEFAULT_SAMPLE_RADIUS, m: int = 32,
-                             oversample: int = OVERSAMPLE,
-                             consistency_rtol: float = 1e-9) -> HardyFunction:
+def coeffs_from_disc_samples(f, r0: float = DEFAULT_SAMPLE_RADIUS, m: int = 32) -> HardyFunction:
     """Taylor coefficients of a holomorphic callback from circle samples.
 
     Samples on |z| = r0 and on |z| = 0.9*r0 and cross-checks the two
@@ -210,17 +209,17 @@ def coeffs_from_disc_samples(f, r0: float = DEFAULT_SAMPLE_RADIUS, m: int = 32,
     """
     if not (0 < r0 < 1):
         raise ValidationError(f"extraction radius must be in (0, 1), got {r0}")
-    k = max(oversample * m, 8)
+    k = max(OVERSAMPLE * m, 8)
     c0, sup0 = _extract_at_radius(f, r0, m, k)
     r1 = 0.9 * r0
     c1, sup1 = _extract_at_radius(f, r1, m, k)
     n = np.arange(m, dtype=float)
     noise = 64 * np.finfo(float).eps * (sup0 * r0 ** -n + sup1 * r1 ** -n)
     scale = max(1.0, float(np.abs(c0).max()))
-    bad = np.abs(c0 - c1) > consistency_rtol * scale + noise
+    bad = np.abs(c0 - c1) > CONSISTENCY_RTOL * scale + noise
     if np.any(bad):
         nb = int(np.argmax(bad))
         raise InconsistentSamples(
             f"two-radius extraction disagrees at n={nb}: {c0[nb]:.6e} vs {c1[nb]:.6e} "
-            f"(allowance {consistency_rtol * scale + noise[nb]:.3e})")
+            f"(allowance {CONSISTENCY_RTOL * scale + noise[nb]:.3e})")
     return HardyFunction(c0)

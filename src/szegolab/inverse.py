@@ -101,11 +101,14 @@ class SpectralData:
 def _check_denominators(d: SpectralData) -> None:
     # degeneracy means catastrophic cancellation in x_j - y_k, so the guard is
     # relative to the operands; an absolute floor would reject healthy data
-    # with strong decay, whose small denominators are exact to working precision
-    x = d.s_odd ** 2
-    y = d.s_even ** 2
-    rel = np.abs(x[:, None] - y[None, :]) / np.maximum(x[:, None], y[None, :])
-    if rel.min() < EPS_DEN:
+    # with strong decay, whose small denominators are exact to working precision.
+    # |x - y| / max(x, y) = 1 - q^2 with q = min/max of the s pair: no square
+    # is formed, so it cannot underflow to 0/0
+    a = d.s_odd[:, None]
+    b = d.s_even[None, :]
+    q = np.minimum(a, b) / np.maximum(a, b)
+    rel = (1.0 - q) * (1.0 + q)
+    if not rel.min() >= EPS_DEN:  # NaN trips too
         j, k = np.unravel_index(int(np.argmin(rel)), rel.shape)
         raise DegenerateSpectrum(
             f"|s_{2*j+1}^2 - s_{2*k+2}^2| cancels to {rel.min():.3e} relative, below {EPS_DEN:g}")
@@ -240,13 +243,19 @@ def reconstruct_function(d: SpectralData, m: int) -> HardyFunction:
 
 
 def b_delta(delta: float) -> float:
-    """Product over m >= 1 of (1 - delta^(4m))^(-2), truncated below 1e-16."""
+    """Product over m >= 1 of (1 - delta^(4m))^(-2), truncated below 1e-16.
+
+    Returns inf as soon as the partial product overflows: every later factor
+    exceeds 1, and near delta = 1 the full product takes O(1/(1 - delta)) factors.
+    """
     if not (0 < delta < 1):
         raise ValidationError(f"delta must be in (0, 1), got {delta}")
     out = 1.0
     m = 1
     while delta ** (4 * m) >= 1e-16:
         out *= (1.0 - delta ** (4 * m)) ** -2
+        if out == np.inf:
+            return out
         m += 1
     return out
 

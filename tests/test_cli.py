@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import szegolab
 from szegolab import a_explicit
 from szegolab.cli import main
 from szegolab.fileio import read_csv
@@ -199,3 +204,39 @@ def test_reconstruct_output_deterministic(pair1, tmp_path):
     assert main(["reconstruct", "--data", pair1, "--modes", "32", "--out", str(a_path)]) == 0
     assert main(["reconstruct", "--data", pair1, "--modes", "32", "--out", str(b_path)]) == 0
     assert a_path.read_bytes() == b_path.read_bytes()
+
+
+# --- exit-code contract, run as a separate process --------------------------------
+
+CONTRACT_DATA = {
+    "pair1.json": [1.0, 0.5],
+    "near_one.json": [1.0, 0.999999999],               # denominator gap 2e-9: B_delta overflows
+    "underflow.json": [1.0, 0.5, 1e-170, 1e-170 * (1 - 1e-15)],  # squares underflow to 0
+}
+
+
+@pytest.mark.parametrize("argv, code, text", [
+    (["reconstruct", "--data", "{tmp}/underflow.json", "--modes", "8", "--out", "{tmp}/c.csv"],
+     3, "DegenerateSpectrum"),
+    (["certify", "--data", "{tmp}/near_one.json"], 0, "bound_value=inf"),
+    (["flow", "--data", "{tmp}/pair1.json", "--T", "inf", "--dt", "0.01", "--modes", "8",
+      "--out", "{tmp}/t.csv"], 2, "T=inf"),
+    (["flow", "--data", "{tmp}/pair1.json", "--T", "nan", "--dt", "0.01", "--modes", "8",
+      "--out", "{tmp}/t.csv"], 2, "T=nan"),
+    (["flow-compare", "--data", "{tmp}/pair1.json", "--T", "inf", "--dt", "0.01", "--modes", "8"],
+     2, "T=inf"),
+    (["flow-compare", "--data", "{tmp}/pair1.json", "--T", "nan", "--dt", "0.01", "--modes", "8"],
+     2, "T=nan"),
+    (["geometric", "--h", "0.7", "--z", "nan", "--out-dir", "{tmp}"], 2, "must be finite"),
+    (["geometric", "--h", "0.7", "--z", "inf,0", "--out-dir", "{tmp}"], 2, "must be finite"),
+    (["geometric", "--h", "0.7", "--z", "abc", "--out-dir", "{tmp}"], 2, "bad complex value"),
+])
+def test_exit_code_contract(tmp_path, argv, code, text):
+    for name, s in CONTRACT_DATA.items():
+        (tmp_path / name).write_text(json.dumps({"pairs": [{"s": v, "psi": 0.0} for v in s]}))
+    env = dict(os.environ, PYTHONPATH=str(Path(szegolab.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "szegolab.cli"] + [a.format(tmp=tmp_path) for a in argv],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert text in proc.stdout + proc.stderr

@@ -102,6 +102,9 @@ def test_step_validation():
         integrate(HardyFunction(np.array([10.0])), 1.0, 1e-2, 4)  # dt |u|^2 > 0.1
     with pytest.raises(ValidationError):
         integrate(HardyFunction(np.array([1e200])), 1.0, 1e-3, 4)  # |u|^2 overflows
+    for t_final, dt in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1.0, np.nan)):
+        with pytest.raises(ValidationError):
+            integrate(HardyFunction(np.array([1.0])), t_final, dt, 4)
 
 
 def test_blowup_guard_trips_on_corrupted_rhs(monkeypatch):

@@ -1,3 +1,6 @@
+import time
+import warnings
+
 import numpy as np
 import pytest
 
@@ -75,6 +78,20 @@ def test_degenerate_denominator_rejected():
     d = SpectralData(np.array([1.0, 1.0 - 1e-15]), np.zeros(2))
     with pytest.raises(DegenerateSpectrum):
         build_c_matrix(d, 0.0)
+    # the squares of the second pair underflow to 0, and the guard must not read 0/0 as a pass
+    tiny = SpectralData(np.array([1.0, 0.5, 1e-170, 1e-170 * (1 - 1e-15)]), np.zeros(4))
+    with pytest.raises(DegenerateSpectrum):
+        reconstruct_point(tiny, 0.3)
+    with pytest.raises(DegenerateSpectrum):
+        taylor_coefficients(tiny, 8)
+
+
+def test_underflowing_squares_reconstruct_without_warnings():
+    d = SpectralData(np.array([1.0, 0.5, 1e-170, 5e-171]), np.zeros(4))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coeffs = taylor_coefficients(d, 6)
+    assert np.allclose(coeffs, 0.75 * 0.5 ** np.arange(6), rtol=1e-14, atol=0)
 
 
 # --- point reconstruction -----------------------------------------------------
@@ -243,6 +260,12 @@ def test_b_delta_and_a_explicit_values():
     ref = np.prod([(1 - delta ** (4 * m)) ** -2.0 for m in range(1, 60)])
     assert abs(b_delta(delta) - ref) < 1e-12
     assert a_explicit(delta) > 0
+
+
+def test_b_delta_stops_at_overflow():
+    t0 = time.perf_counter()
+    assert b_delta(1.0 - 1e-6) == np.inf
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_certificate_soundness():
