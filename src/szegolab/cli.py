@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -209,6 +210,7 @@ def cmd_sweep(args) -> None:
 # --- parser ----------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="szegolab",
                                      description="Hankel spectral transform laboratory")

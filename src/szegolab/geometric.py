@@ -153,8 +153,8 @@ class SymbolGrid:
 
 def _winding_from_values(vals: np.ndarray):
     mods = np.abs(vals)
-    if mods.min() <= EPS_ZERO:
-        raise ZeroOnContour(f"min |symbol| = {mods.min():.3e} <= zero guard {EPS_ZERO:g}")
+    if not mods.min() > EPS_ZERO:  # NaN trips too
+        raise ZeroOnContour(f"min |symbol| = {mods.min():.3e} is not above zero guard {EPS_ZERO:g}")
     incr = np.angle(np.roll(vals, -1) / vals)
     return int(np.rint(incr.sum() / (2.0 * np.pi))), float(np.abs(incr).max())
 

@@ -14,7 +14,9 @@ closed-form first-moment identities for zero angles.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +26,8 @@ from .hardy import HardyFunction
 
 EPS_DEN = 1e-13    # relative-cancellation threshold for s_odd^2 - s_even^2
 EPS_COND = 1e12    # condition ceiling for the solve against I - z P
+
+_Factors = namedtuple("_Factors", "logmag sgn col_phase c p")
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,13 @@ class SpectralData:
     @property
     def psi_even(self) -> np.ndarray:
         return self.psi[1::2]
+
+    @cached_property
+    def _factors(self) -> _Factors:
+        """Read-only explicit-inverse log parts and (c, P), built on first use;
+        a build that raises caches nothing.  Threads racing on the first use may
+        each build it, bitwise identically, so whichever result is kept is right."""
+        return _build_factors(self)
 
     def delta(self) -> float:
         """Largest consecutive ratio s_(r+1)/s_r."""
@@ -142,9 +153,12 @@ def _log_abs_diff(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
         return hi + np.log1p(-np.exp(np.minimum(lo - hi, -1e-300)))
 
 
-def _inverse_log_parts(d: SpectralData):
+def _build_factors(d: SpectralData) -> _Factors:
     """Log magnitudes, signs and column phases of the explicit C(0) inverse,
-    and lxy = log|x_j - y_k| for x = s_odd^2, y = s_even^2.
+    and (c, P), every array read-only.
+
+    P is assembled column by column from log magnitudes so no intermediate
+    product can overflow or lose underflowed contributions.
     """
     _check_denominators(d)
     n = d.n_pairs
@@ -162,7 +176,19 @@ def _inverse_log_parts(d: SpectralData):
     sgn = np.where(jj <= kk, 1.0, -1.0)
     logmag = log_alpha[jj] + log_beta[kk] - lxy[jj, kk] - np.log(d.s_odd)[jj]
     col_phase = np.exp(-1j * d.psi_odd)
-    return logmag, sgn, col_phase, lxy
+    c = (sgn * np.exp(logmag) * col_phase[None, :]).sum(axis=1)
+    log_cdot = np.log(d.s_even)[None, :] - lxy               # log|cdot_{j,l}|
+    jj, ll = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    sgn_cdot = np.where(jj <= ll, 1.0, -1.0)
+    p = np.empty((n, n), dtype=complex)
+    signed_cols = sgn * col_phase[None, :]                   # inverse entry phases, row k col j
+    for l in range(n):
+        terms = signed_cols * np.exp(logmag + log_cdot[:, l][None, :]) * sgn_cdot[:, l][None, :]
+        p[:, l] = np.exp(1j * d.psi_even[l]) * terms.sum(axis=1)
+    out = _Factors(logmag, sgn, col_phase, c, p)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def cauchy_inverse_c0(d: SpectralData) -> np.ndarray:
@@ -171,32 +197,17 @@ def cauchy_inverse_c0(d: SpectralData) -> np.ndarray:
     Products are accumulated in log space so the formula stays usable for
     strongly decaying data where a dense solve has nothing left to offer.
     """
-    logmag, sgn, col_phase, _ = _inverse_log_parts(d)
-    return sgn * np.exp(logmag) * col_phase[None, :]
+    f = d._factors
+    return f.sgn * np.exp(f.logmag) * f.col_phase[None, :]
 
 
 def cauchy_neumann_factors(d: SpectralData):
-    """(c, P) with c = C(0)^(-1) 1 and P = C(0)^(-1) Cdot.
+    """(c, P) with c = C(0)^(-1) 1 and P = C(0)^(-1) Cdot, read-only and shared.
 
     These satisfy C(z)^(-1) 1 = (I - z P)^(-1) c, the splitting behind both
     the analytic-continuation bounds and the Taylor recursion u_hat(n) = 1^T P^n c.
-    P is assembled column by column from log magnitudes so no intermediate
-    product can overflow or lose underflowed contributions.
     """
-    logmag, sgn, col_phase, lxy = _inverse_log_parts(d)
-    n = d.n_pairs
-    c = (sgn * np.exp(logmag) * col_phase[None, :]).sum(axis=1)
-
-    log_cdot = np.log(d.s_even)[None, :] - lxy               # log|cdot_{j,l}|
-    jj, ll = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    sgn_cdot = np.where(jj <= ll, 1.0, -1.0)
-
-    p = np.empty((n, n), dtype=complex)
-    signed_cols = sgn * col_phase[None, :]                   # inverse entry phases, row k col j
-    for l in range(n):
-        terms = signed_cols * np.exp(logmag + log_cdot[:, l][None, :]) * sgn_cdot[:, l][None, :]
-        p[:, l] = np.exp(1j * d.psi_even[l]) * terms.sum(axis=1)
-    return c, p
+    return d._factors.c, d._factors.p
 
 
 def reconstruct_point(d: SpectralData, z: complex, method: str = "neumann") -> complex:
@@ -308,10 +319,8 @@ def operator_bounds(d: SpectralData) -> OperatorBounds:
     delta = d.delta()
     if delta >= 1.0:
         raise ValidationError(f"s must be strictly decreasing, got ratio {delta}")
-    logmag = _inverse_log_parts(d)[0]
-    inv_sum = float(np.exp(logmag).sum())
-    _, p = cauchy_neumann_factors(d)
-    l1 = float(np.abs(p).sum(axis=0).max())
+    inv_sum = float(np.exp(d._factors.logmag).sum())
+    l1 = float(np.abs(d._factors.p).sum(axis=0).max())
     radius = 1.0 / l1 - 1.0 if l1 > 0 else np.inf
     return OperatorBounds(
         delta=delta,
@@ -333,8 +342,7 @@ def entry_bound_table(d: SpectralData):
     """
     delta = d.delta()
     n = d.n_pairs
-    logmag = _inverse_log_parts(d)[0]
-    abs_entries = np.exp(logmag)
+    abs_entries = np.exp(d._factors.logmag)
     jj, kk = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1))
     pattern = np.where(jj < kk, delta ** (2.0 * (kk - jj)),
                        np.where(jj <= kk + 1, 1.0, delta ** (2.0 * (jj - kk - 1))))

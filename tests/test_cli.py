@@ -9,7 +9,7 @@ import pytest
 
 import szegolab
 from szegolab import a_explicit
-from szegolab.cli import main
+from szegolab.cli import build_parser, main
 from szegolab.fileio import read_csv
 
 
@@ -26,6 +26,14 @@ def test_c1_command(pair1, capsys):
     assert "closed_form=1.5" in out
     assert "lower_bound=1.5" in out
     assert "eq4_bound=1" in out
+
+
+def test_parser_built_once(pair1, capsys):
+    assert build_parser() is build_parser()
+    assert main(["c1", "--data", pair1]) == 0
+    assert main(["certify", "--data", pair1]) == 0
+    assert main(["c1", "--data", pair1 + ".missing"]) == 2
+    assert "closed_form=1.5" in capsys.readouterr().out
 
 
 def test_reconstruct_then_spectrum(pair1, tmp_path, capsys):

@@ -124,6 +124,8 @@ def test_winding_grid_input():
 def test_winding_zero_on_contour():
     with pytest.raises(ZeroOnContour):
         winding_index(lambda zz: zz - 1.0)
+    with pytest.raises(ZeroOnContour):  # a NaN sample trips the guard too
+        winding_index(lambda zz: np.where(np.abs(zz - 1.0) < 1e-3, np.nan, zz))
 
 
 def test_index_profile_relations():
@@ -343,6 +345,10 @@ def test_wh_rejects_zero_on_contour():
     grid = SymbolGrid.sample(lambda zz: zz - 1.0, k=256)
     with pytest.raises(ZeroOnContour):
         wiener_hopf_factorize(grid)
+    vals = np.exp(np.exp(2j * np.pi * np.arange(256) / 256))  # e^zeta: index 0, no zeros
+    vals[5] = np.nan
+    with pytest.raises(ZeroOnContour):
+        wiener_hopf_factorize(SymbolGrid(radius=1.0, values=vals))
 
 
 # --- doubly periodic cross-check ----------------------------------------------------------------

@@ -1,3 +1,5 @@
+import sys
+import threading
 import time
 import warnings
 
@@ -11,6 +13,7 @@ from szegolab import (AnglesNotZero, DegenerateSpectrum, SingularMatrix, Spectra
                       cauchy_ones_solve, coeffs_from_disc_samples, entry_bound_table,
                       operator_bounds, pair_singular_values, reconstruct_function,
                       reconstruct_point, taylor_coefficients, weighted_first_moment)
+from szegolab import inverse as inverse_mod
 
 PAIR1 = SpectralData(np.array([1.0, 0.5]), np.zeros(2))
 
@@ -289,6 +292,93 @@ def test_neumann_factors_consistency():
     inv = cauchy_inverse_c0(d)
     assert np.abs(c - inv.sum(axis=1)).max() < 1e-12
     assert np.abs(p - inv @ build_cdot_matrix(d)).max() < 1e-12
+
+
+# --- the factorization shared by one value ------------------------------------------
+
+def count_builds(monkeypatch):
+    built = []
+    real = inverse_mod._build_factors
+
+    def counting(d):
+        built.append(d)
+        return real(d)
+
+    monkeypatch.setattr(inverse_mod, "_build_factors", counting)
+    return built
+
+
+def test_factors_built_once_per_value(monkeypatch):
+    built = count_builds(monkeypatch)
+    d = random_data(np.random.default_rng(40), 6)
+    operator_bounds(d)
+    for w in np.exp(2j * np.pi * np.arange(32) / 32):
+        reconstruct_point(d, 0.9 * w)
+    taylor_coefficients(d, 16)
+    cauchy_inverse_c0(d)
+    entry_bound_table(d)
+    assert len(built) == 1
+
+
+def test_factors_are_read_only():
+    d = random_data(np.random.default_rng(41), 4)
+    c, p = cauchy_neumann_factors(d)
+    c_before, p_before = c.copy(), p.copy()
+    with pytest.raises(ValueError):
+        c[0] = 0.0
+    with pytest.raises(ValueError):
+        p[0, 0] = 0.0
+    c2, p2 = cauchy_neumann_factors(d)
+    assert np.array_equal(c2, c_before) and np.array_equal(p2, p_before)
+
+
+def test_separate_values_agree_bitwise():
+    rng = np.random.default_rng(42)
+    s = 0.9 * np.cumprod(np.concatenate([[1.0], rng.uniform(0.5, 0.8, size=9)]))
+    psi = rng.uniform(0.0, 2.0 * np.pi, size=10)
+    d1, d2 = SpectralData(s, psi), SpectralData(s, psi)
+    for a, b in zip(cauchy_neumann_factors(d1), cauchy_neumann_factors(d2)):
+        assert np.array_equal(a, b)
+    assert np.array_equal(taylor_coefficients(d1, 40), taylor_coefficients(d2, 40))
+    zs = 0.95 * np.exp(2j * np.pi * np.arange(8) / 8)
+    assert [reconstruct_point(d1, z) for z in zs] == [reconstruct_point(d2, z) for z in zs]
+
+
+def test_failed_build_is_not_cached(monkeypatch):
+    built = count_builds(monkeypatch)
+    d = SpectralData(np.array([1.0, 0.5, 0.25, 0.25 * (1 - 1e-15)]), np.zeros(4))
+    for _ in range(2):
+        with pytest.raises(DegenerateSpectrum):
+            reconstruct_point(d, 0.5)
+    assert len(built) == 2
+
+
+def test_concurrent_points_match_serial():
+    rng = np.random.default_rng(43)
+    serial_d = random_data(rng, 8)
+    zs = 0.9 * np.exp(2j * np.pi * np.arange(16) / 16)
+    serial = [reconstruct_point(serial_d, z) for z in zs]
+    shared = SpectralData(serial_d.s, serial_d.psi)          # unbuilt: the threads race on first use
+    results = [None] * zs.size
+    start = threading.Barrier(4, timeout=30)
+
+    def worker(i):
+        start.wait()
+        for k in range(i, zs.size, 4):
+            results[k] = reconstruct_point(shared, zs[k])
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert results == serial
 
 
 # --- first-moment formulas ----------------------------------------------------------
