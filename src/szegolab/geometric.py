@@ -192,46 +192,34 @@ def index_profile(gamma: float, radii) -> list[tuple[float, int | None]]:
 # --- the zero-gap certificate -------------------------------------------
 
 
-def _abs_on_unit_circle(gamma: float, theta: np.ndarray) -> np.ndarray:
-    """|kernel| on the unit circle via the real cosine series."""
-    order = int(math.ceil(math.log(1e-18) / math.log(gamma))) + 2
-    s = 1.0 / (1.0 - np.cos(theta))
-    for l in range(1, order):
-        s = s + 2.0 * gamma ** l * (1.0 + gamma ** (2 * l)) / (1.0 + gamma ** (4 * l) - 2.0 * gamma ** (2 * l) * np.cos(theta))
-    return np.abs(np.sin(theta / 2.0)) * s
+def _refine_extremum(fn, grid: np.ndarray, minimize: bool) -> float:
+    """Extremum of fn on a grid, refined by shrinking a 9-point bracket around it.
 
-
-def _abs_on_inner_circle(gamma: float, phi: np.ndarray) -> np.ndarray:
-    """|kernel| on |zeta| = gamma via the shifted cosine series."""
-    order = int(math.ceil(math.log(1e-18) / math.log(gamma))) + 2
-    s = np.zeros_like(phi)
-    for l in range(order):
-        s = s + 2.0 * gamma ** l * (1.0 + gamma ** (2 * l + 1)) / (1.0 + gamma ** (4 * l + 2) - 2.0 * gamma ** (2 * l + 1) * np.cos(phi))
-    return np.abs(np.sin(phi / 2.0)) * s
-
-
-def _refine_extremum(fn, grid: np.ndarray, minimize: bool, rounds: int = 48) -> float:
+    Each new bracket lies inside the previous one, so the loop stops by
+    itself once the bracket no longer changes.
+    """
     vals = fn(grid)
     i = int(np.argmin(vals) if minimize else np.argmax(vals))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, grid.size - 1)]
-    for _ in range(rounds):
+    while True:
         pts = np.linspace(lo, hi, 9)
         v = fn(pts)
         j = int(np.argmin(v) if minimize else np.argmax(v))
-        lo = pts[max(j - 1, 0)]
-        hi = pts[min(j + 1, 8)]
+        bracket = (pts[max(j - 1, 0)], pts[min(j + 1, 8)])
+        if bracket == (lo, hi):
+            break
+        lo, hi = bracket
     mid = fn(np.array([(lo + hi) / 2.0]))[0]
     return float(min(mid, vals[i]) if minimize else max(mid, vals[i]))
 
 
 def poisson_gap_bound(gamma: float) -> float:
-    """(pi/|log gamma|) sum over n >= 1 of 1/cosh(pi^2 n / |log gamma|)."""
-    lg = abs(math.log(gamma))
+    """(pi/|log gamma|) sum over n >= 1 of 1/cosh(pi^2 n / |log gamma|), as 2 fhat(pi, 2 pi n)."""
     total = 0.0
     n = 1
     while True:
-        term = (math.pi / lg) / math.cosh(math.pi ** 2 * n / lg)
+        term = 2.0 * fhat_closed_form(gamma, math.pi, 2.0 * math.pi * n)
         total += term
         if term < 1e-18 * max(total, 1e-300) or n > 10000:
             break
@@ -256,15 +244,15 @@ class ZeroGapReport:
 def zero_gap(gamma: float) -> ZeroGapReport:
     """Gap between min |kernel| on |zeta|=1 and sqrt(gamma) max |kernel| on |zeta|=gamma.
 
-    Both extrema come from the real closed-form series, scanned on an angle
-    grid and locally refined; positivity of the gap is the no-zeros
-    certificate, and poisson_bound is its closed-form lower bound.
+    Both extrema are |f_gamma| scanned on an angle grid and locally refined;
+    positivity of the gap is the no-zeros certificate, and poisson_bound is
+    its closed-form lower bound.
     """
     if not (0.0 < gamma < 1.0):
         raise ValidationError(f"gamma must be in (0, 1), got {gamma}")
     theta = np.linspace(0.0, np.pi, ZERO_GAP_GRID // 2 + 1)[1:]  # even in theta; exclude the pole at 0
-    mn = _refine_extremum(lambda t: _abs_on_unit_circle(gamma, t), theta, minimize=True)
-    mx = _refine_extremum(lambda t: _abs_on_inner_circle(gamma, t), theta, minimize=False)
+    mn = _refine_extremum(lambda t: np.abs(f_gamma(gamma, np.exp(1j * t))), theta, minimize=True)
+    mx = _refine_extremum(lambda t: np.abs(f_gamma(gamma, gamma * np.exp(1j * t))), theta, minimize=False)
     scaled = math.sqrt(gamma) * mx
     return ZeroGapReport(gamma=gamma, min_unit=mn, max_inner_scaled=scaled,
                          gap=mn - scaled, poisson_bound=poisson_gap_bound(gamma))

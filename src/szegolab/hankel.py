@@ -17,7 +17,7 @@ from .fileio import write_csv
 from .hardy import HardyFunction, sobolev_norm
 
 TAU_RANK = 1e-12   # relative eigenvalue cutoff for numerical rank
-TAU_EIG = 1e-9     # distinctness / interlacing slack
+TAU_EIG = 1e-9     # distinctness / interlacing slack, relative to the largest value
 TAIL_RTOL = 1e-10  # largest tolerated tail_mass / total trace
 
 
@@ -55,13 +55,13 @@ def tail_mass(u: HardyFunction, m: int) -> float:
 
 
 def _merge_close(vals: np.ndarray, tau: float) -> np.ndarray:
-    """Collapse runs of numerically equal values (descending input) to their mean."""
+    """Collapse runs of values within tau of the largest (descending input) to their mean."""
     if vals.size == 0:
         return vals
     out = []
     run = [vals[0]]
     for v in vals[1:]:
-        if run[-1] - v <= tau:
+        if run[-1] - v <= tau * vals[0]:
             run.append(v)
         else:
             out.append(np.mean(run))
@@ -93,7 +93,7 @@ class HankelSpectrum:
 
     def interlacing_ok(self) -> bool:
         s = self.merged()
-        return bool(np.all(s[:-1] >= s[1:] - TAU_EIG))
+        return bool(s.size == 0 or np.all(s[:-1] >= s[1:] - TAU_EIG * s[0]))
 
     def save_csv(self, path) -> None:
         rows = [(j + 1, "rho", float(v)) for j, v in enumerate(self.rho)]

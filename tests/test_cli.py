@@ -238,6 +238,7 @@ CONTRACT_DATA = {
     (["geometric", "--h", "0.7", "--z", "nan", "--out-dir", "{tmp}"], 2, "must be finite"),
     (["geometric", "--h", "0.7", "--z", "inf,0", "--out-dir", "{tmp}"], 2, "must be finite"),
     (["geometric", "--h", "0.7", "--z", "abc", "--out-dir", "{tmp}"], 2, "bad complex value"),
+    (["sweep", "--task", "zero-gap", "--grid", "0.99", "--out", "{tmp}/z.csv"], 0, "rows=1"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():

@@ -9,7 +9,7 @@ from szegolab import (GeometricParams, NearPole, SymbolGrid, ValidationError,
                       stability_scan, toeplitz_truncated, u_via_toeplitz,
                       wiener_hopf_factorize, wiener_hopf_inverse_residual, winding_index,
                       zero_gap)
-from szegolab.geometric import _abs_on_inner_circle, _abs_on_unit_circle
+from szegolab.geometric import _refine_extremum
 
 GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -169,15 +169,38 @@ def test_zero_gap_certificate():
         assert rep.gap >= rep.poisson_bound - 1e-12
 
 
-def test_closed_form_moduli_match_kernel():
-    for g in (0.3, 0.7):
-        for t in (0.5, 2.2, 3.1):
-            direct = abs(f_gamma(g, np.exp(1j * t)))
-            closed = _abs_on_unit_circle(g, np.array([t]))[0]
-            assert abs(direct - closed) < 1e-10
-            direct_in = abs(f_gamma(g, g * np.exp(1j * t)))
-            closed_in = _abs_on_inner_circle(g, np.array([t]))[0]
-            assert abs(direct_in - closed_in) < 1e-10
+def _kernel_mpmath(gamma, zeta):
+    """Two-sided kernel series at 40 digits, summed until gamma^|l| < 1e-40."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        g, z = mp.mpf(gamma), mp.mpc(zeta)
+        n = int(mp.ceil(mp.log(mp.mpf("1e-40")) / mp.log(g)))
+        return abs(mp.fsum(g ** l / (1 - z * g ** (2 * l)) for l in range(-n, n + 1)))
+
+
+def test_zero_gap_extrema_match_mpmath():
+    # both extrema sit on the negative real axis: |F(-1)| and sqrt(gamma) |F(-gamma)|
+    for g in (0.05, 0.25, 0.5, 0.9):
+        rep = zero_gap(g)
+        want_min = float(_kernel_mpmath(g, -1))
+        want_max = float(_kernel_mpmath(g, -g)) * np.sqrt(g)
+        assert abs(rep.min_unit - want_min) <= 1e-14 * want_min
+        assert abs(rep.max_inner_scaled - want_max) <= 1e-14 * want_max
+
+
+@pytest.mark.parametrize("fn", [lambda t: np.ones_like(t), lambda t: np.full_like(t, np.nan)])
+def test_refine_extremum_stops_by_itself(fn):
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return fn(t)
+
+    grid = np.linspace(0.0, np.pi, 2049)[1:]
+    for minimize in (True, False):
+        calls.clear()
+        _refine_extremum(counted, grid, minimize)
+        assert len(calls) <= 200
 
 
 def test_poisson_bound_series():
@@ -190,6 +213,13 @@ def test_poisson_bound_series():
             break
         ref += term
     assert abs(poisson_gap_bound(g) - ref) < 1e-15
+
+
+def test_poisson_bound_near_one():
+    # cosh(pi^2 n / |log gamma|) is beyond float range here, so the terms must underflow to 0
+    for g in (0.975, 0.99, 0.999, 1 - 1e-9):
+        b = poisson_gap_bound(g)
+        assert np.isfinite(b) and b >= 0.0
 
 
 # --- the cosh transform ----------------------------------------------------------------

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from szegolab import (HardyFunction, InsufficientTruncation, check_rank_one_identity,
+from szegolab import (HardyFunction, InsufficientTruncation, SpectralData, check_rank_one_identity,
                       check_trace_identity, hankel_matrix, pair_singular_values,
-                      shifted_hankel_matrix, sobolev_norm, sum_rule_residual, tail_mass)
+                      reconstruct_function, shifted_hankel_matrix, sobolev_norm, sum_rule_residual,
+                      tail_mass)
 
 
 def geometric_function(b=0.75, p=0.5, m=64):
@@ -87,6 +88,17 @@ def test_interlacing_random_draws():
         assert spec.interlacing_ok()
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-12])
+def test_spectrum_commutes_with_scaling(scale):
+    # merge and interlacing tolerances are relative, so tiny data keeps its four values
+    s = scale * np.array([1.0, 0.3, 0.09, 0.027])
+    spec = pair_singular_values(reconstruct_function(SpectralData(s, np.zeros(4)), 128), 128)
+    got = spec.merged()
+    assert got.size == 4
+    assert np.all(np.abs(got - s) <= 1e-9 * s)
+    assert spec.interlacing_ok()
+
+
 def test_tail_guard():
     u = geometric_function(m=64)
     assert tail_mass(u, 64) == 0.0
@@ -126,6 +138,7 @@ def test_trace_identity_zero_function():
     u = HardyFunction(np.zeros(4))
     spec = pair_singular_values(u, 4)
     assert check_trace_identity(u, spec) == 0.0
+    assert spec.merged().size == 0 and spec.interlacing_ok()
 
 
 def test_rank_one_identity_small_support():
