@@ -7,10 +7,10 @@ pseudospectral integrator, and the Toeplitz-symbol certificates of analytic
 regularity for geometric spectral data.
 """
 
-from .errors import (AnglesNotZero, BlowupDetected, DegenerateSpectrum, DomainError,
-                     InconsistentSamples, InsufficientTruncation, NearPole,
-                     NegativeCoefficients, NonzeroIndex, NumericalError, SingularMatrix,
-                     SingularTruncation, SzegoLabError, ValidationError, ZeroOnContour)
+from .errors import (AnglesNotZero, BlowupDetected, DegenerateSpectrum, InsufficientTruncation,
+                     NearPole, NegativeCoefficients, NonzeroIndex, NumericalError,
+                     SingularMatrix, SingularTruncation, SzegoLabError, ValidationError,
+                     ZeroOnContour)
 from .flow import (FlowState, compare_flows, conservation_report, integrate, l2_distance,
                    spectral_evolve, szego_rhs)
 from .geometric import (EllipticReport, GeometricParams, SymbolGrid, WienerHopfFactors,
@@ -22,9 +22,7 @@ from .geometric import (EllipticReport, GeometricParams, SymbolGrid, WienerHopfF
 from .hankel import (HankelSpectrum, check_rank_one_identity, check_trace_identity,
                      hankel_matrix, pair_singular_values, shifted_hankel_matrix,
                      sum_rule_residual, tail_mass)
-from .hardy import (FullCircleFunction, HardyFunction, besov_seminorm, circle_samples,
-                    coeffs_from_disc_samples, eval_disc, sobolev_norm, szego_project,
-                    weighted_first_moment)
+from .hardy import HardyFunction, sobolev_norm, weighted_first_moment
 from .inverse import (C1LowerBounds, OperatorBounds, SpectralData, a_explicit,
                       b_delta, build_c_matrix, build_cdot_matrix, c0_inverse_sum_bound,
                       c1_closed_form, c1_lower_bound, cauchy_inverse_c0,
@@ -36,10 +34,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     # errors
-    "AnglesNotZero", "BlowupDetected", "DegenerateSpectrum", "DomainError",
-    "InconsistentSamples", "InsufficientTruncation", "NearPole", "NegativeCoefficients",
-    "NonzeroIndex", "NumericalError", "SingularMatrix", "SingularTruncation",
-    "SzegoLabError", "ValidationError", "ZeroOnContour",
+    "AnglesNotZero", "BlowupDetected", "DegenerateSpectrum", "InsufficientTruncation",
+    "NearPole", "NegativeCoefficients", "NonzeroIndex", "NumericalError", "SingularMatrix",
+    "SingularTruncation", "SzegoLabError", "ValidationError", "ZeroOnContour",
     # flow
     "FlowState", "compare_flows", "conservation_report", "integrate", "l2_distance",
     "spectral_evolve", "szego_rhs",
@@ -53,9 +50,7 @@ __all__ = [
     "HankelSpectrum", "check_rank_one_identity", "check_trace_identity", "hankel_matrix",
     "pair_singular_values", "shifted_hankel_matrix", "sum_rule_residual", "tail_mass",
     # hardy
-    "FullCircleFunction", "HardyFunction", "besov_seminorm", "circle_samples",
-    "coeffs_from_disc_samples", "eval_disc", "sobolev_norm", "szego_project",
-    "weighted_first_moment",
+    "HardyFunction", "sobolev_norm", "weighted_first_moment",
     # inverse
     "C1LowerBounds", "OperatorBounds", "SpectralData", "a_explicit", "b_delta",
     "build_c_matrix", "build_cdot_matrix", "c0_inverse_sum_bound", "c1_closed_form",

@@ -8,9 +8,7 @@ for a fixed configuration; CSV values carry 17 significant digits.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 from pathlib import Path
 
@@ -55,7 +53,9 @@ def _parse_grid(text: str) -> list[float]:
             start, stop, step = (float(p) for p in parts)
         except ValueError as exc:
             raise ValidationError(f"bad grid {text!r}: {exc}") from exc
-        if step <= 0:
+        if not (np.isfinite(start) and np.isfinite(stop)):
+            raise ValidationError(f"grid start and stop must be finite, got {text!r}")
+        if not step > 0:  # NaN fails too
             raise ValidationError(f"grid step must be positive, got {step}")
         n = int(np.floor((stop - start) / step + 1e-9)) + 1
         return [start + i * step for i in range(max(n, 0))]
@@ -166,19 +166,10 @@ SWEEP_TASKS = {  # task -> (row function of (grid value, N), CSV columns)
 }
 
 
-def _sweep_workers() -> int:
-    env = os.environ.get("SZEGO_LAB_THREADS", "")
-    if env.strip():
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ValidationError(f"SZEGO_LAB_THREADS must be an integer, got {env!r}") from exc
-        return max(cap, 0)
-    return min(8, os.cpu_count() or 1)
-
-
 def cmd_sweep(args) -> None:
     grid = _parse_grid(args.grid)
+    if args.n < 1:
+        raise ValidationError(f"--N must be >= 1, got {args.n}")
     row_fn, columns = SWEEP_TASKS[args.task]
 
     def run_one(value: float) -> tuple[dict | None, str]:
@@ -187,12 +178,7 @@ def cmd_sweep(args) -> None:
         except SzegoLabError as exc:
             return None, f"{type(exc).__name__}: {exc}"
 
-    workers = _sweep_workers()
-    if workers <= 1 or len(grid) <= 1:
-        results = list(map(run_one, grid))  # one entry per grid position
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_one, grid))
+    results = list(map(run_one, grid))  # one entry per grid position
 
     rows = []
     for i in sorted(range(len(grid)), key=grid.__getitem__):  # by value, ties in grid order

@@ -18,16 +18,8 @@ class NumericalError(SzegoLabError):
     """A numerical guard tripped during a computation."""
 
 
-class DomainError(ValidationError):
-    """Evaluation requested outside the declared domain."""
-
-
 class NegativeCoefficients(NumericalError):
     """Coefficients required to be real nonnegative are not, beyond tolerance."""
-
-
-class InconsistentSamples(NumericalError):
-    """Two-radius coefficient extraction disagrees beyond the noise model."""
 
 
 class InsufficientTruncation(NumericalError):

@@ -41,7 +41,7 @@ def szego_rhs(u: HardyFunction) -> HardyFunction:
     The cubic term of an M-mode function has bandwidth below 2M, so 4M
     nodes make the projection to the first M modes alias-free.
     """
-    return HardyFunction(_rhs_raw(u.coeffs, 4 * len(u)), u.declared_radius)
+    return HardyFunction(_rhs_raw(u.coeffs, 4 * len(u)))
 
 
 def _rhs_raw(c: np.ndarray, k: int) -> np.ndarray:

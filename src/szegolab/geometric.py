@@ -131,7 +131,6 @@ class SymbolGrid:
 
     radius: float
     values: np.ndarray
-    z: complex = 0.0
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=complex)
@@ -146,9 +145,9 @@ class SymbolGrid:
         return self.values.size
 
     @classmethod
-    def sample(cls, fn, k: int, radius: float = 1.0, z: complex = 0.0) -> "SymbolGrid":
+    def sample(cls, fn, k: int, radius: float = 1.0) -> "SymbolGrid":
         zeta = radius * np.exp(2j * np.pi * np.arange(k) / k)
-        return cls(radius=radius, values=np.asarray(fn(zeta), dtype=complex), z=z)
+        return cls(radius=radius, values=np.asarray(fn(zeta), dtype=complex))
 
 
 def _winding_from_values(vals: np.ndarray):
@@ -288,6 +287,8 @@ def toeplitz_truncated(coeff_fn, n: int) -> np.ndarray:
 
 def _geometric_toeplitz(p: GeometricParams, z: complex, r: float, n: int) -> np.ndarray:
     """T[j, k] = r^(k-j) (1 - z omega^(2(k-j)+1)) / (1 - gamma^(2(k-j)+1))."""
+    if not (p.gamma < r < 1.0):
+        raise ValidationError(f"need gamma = {p.gamma:.6g} < r < 1, got r = {r}")
     return toeplitz_truncated(lambda m: phi_laurent_coeff(p, z, -m, r), n)
 
 
@@ -298,9 +299,6 @@ def u_via_toeplitz(p: GeometricParams, z: complex, r: float = DEFAULT_R, n: int 
     and pairs with (r^k); the answer does not depend on r inside
     (gamma, 1), which is itself a useful cross-check.
     """
-    gam = p.gamma
-    if not (gam < r < 1.0):
-        raise ValidationError(f"need gamma = {gam:.6g} < r < 1, got r = {r}")
     t = _geometric_toeplitz(p, z, r, n)
     _min_singular_value(t, z)
     j = np.arange(1, n + 1, dtype=float)

@@ -48,6 +48,8 @@ def shifted_hankel_matrix(u: HardyFunction, m: int) -> np.ndarray:
 
 def tail_mass(u: HardyFunction, m: int) -> float:
     """Discarded trace: sum over n >= m of (1+n) |u_hat(n)|^2."""
+    if m < 0:
+        raise ValidationError(f"truncation index must be >= 0, got {m}")
     if len(u) <= m:
         return 0.0
     n = np.arange(m, len(u), dtype=float)
@@ -76,7 +78,6 @@ class HankelSpectrum:
 
     rho: np.ndarray
     sigma: np.ndarray
-    truncation_m: int
     tail_mass: float
 
     def merged(self) -> np.ndarray:
@@ -116,6 +117,8 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     The caller owns the truncation: if the coefficient vector extends past m,
     the discarded trace must stay below TAIL_RTOL of the total.
     """
+    if m < 1:
+        raise ValidationError(f"matrix size must be >= 1, got {m}")
     tm = tail_mass(u, m)
     total = sobolev_norm(u, 0.5) ** 2
     if total > 0 and tm > TAIL_RTOL * total:
@@ -123,7 +126,7 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
             f"tail mass {tm:.3e} exceeds {TAIL_RTOL:g} of total trace {total:.3e}; increase m={m}")
     rho = _gram_singular_values(hankel_matrix(u, m))
     sigma = _gram_singular_values(shifted_hankel_matrix(u, m))
-    return HankelSpectrum(rho=rho, sigma=sigma, truncation_m=m, tail_mass=tm)
+    return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=tm)
 
 
 def check_trace_identity(u: HardyFunction, spectrum: HankelSpectrum) -> float:

@@ -112,8 +112,7 @@ def test_geometric_command(tmp_path, capsys):
     assert header == ["N", "inv_norm_2"]
 
 
-def test_sweep_zero_gap(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("SZEGO_LAB_THREADS", "0")  # sequential path
+def test_sweep_zero_gap(tmp_path, capsys):
     out_csv = tmp_path / "sweep.csv"
     assert main(["sweep", "--task", "zero-gap", "--grid", "0.1:0.9:0.2",
                  "--out", str(out_csv)]) == 0
@@ -133,8 +132,7 @@ def test_sweep_empty_grid(tmp_path):
     assert rows == [] and header[0] == "gamma"
 
 
-def test_sweep_operator_bounds(tmp_path, monkeypatch):
-    monkeypatch.setenv("SZEGO_LAB_THREADS", "2")  # threaded path
+def test_sweep_operator_bounds(tmp_path):
     out_csv = tmp_path / "delta.csv"
     assert main(["sweep", "--task", "operator-bounds", "--grid", "0.05:0.5:0.05",
                  "--N", "20", "--out", str(out_csv)]) == 0
@@ -147,33 +145,23 @@ def test_sweep_operator_bounds(tmp_path, monkeypatch):
         assert abs(float(vals["bound_value"]) - a_explicit(delta)) < 1e-12 * a_explicit(delta)
 
 
-def test_sweep_determinism(tmp_path, monkeypatch):
+def test_sweep_determinism(tmp_path):
     a_path, b_path = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("SZEGO_LAB_THREADS", "4")
     assert main(["sweep", "--task", "zero-gap", "--grid", "0.2,0.4,0.6", "--out", str(a_path)]) == 0
-    monkeypatch.setenv("SZEGO_LAB_THREADS", "0")
     assert main(["sweep", "--task", "zero-gap", "--grid", "0.2,0.4,0.6", "--out", str(b_path)]) == 0
     assert a_path.read_bytes() == b_path.read_bytes()
 
 
-def test_sweep_keeps_repeated_grid_values(tmp_path, monkeypatch):
-    for threads in ("0", "2"):
-        monkeypatch.setenv("SZEGO_LAB_THREADS", threads)
-        out_csv = tmp_path / f"rep{threads}.csv"
-        assert main(["sweep", "--task", "zero-gap", "--grid", "0.5,0.5,0.3",
-                     "--out", str(out_csv)]) == 0
-        _, rows = read_csv(out_csv)
-        assert [float(r[0]) for r in rows] == [0.3, 0.5, 0.5]
+def test_sweep_keeps_repeated_grid_values(tmp_path):
+    out_csv = tmp_path / "rep.csv"
+    assert main(["sweep", "--task", "zero-gap", "--grid", "0.5,0.5,0.3",
+                 "--out", str(out_csv)]) == 0
+    _, rows = read_csv(out_csv)
+    assert [float(r[0]) for r in rows] == [0.3, 0.5, 0.5]
 
 
 def test_bad_grid_exit_2(tmp_path, capsys):
     assert main(["sweep", "--task", "zero-gap", "--grid", "0.1:0.9", "--out",
-                 str(tmp_path / "x.csv")]) == 2
-
-
-def test_bad_thread_env_exit_2(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SZEGO_LAB_THREADS", "many")
-    assert main(["sweep", "--task", "zero-gap", "--grid", "0.3", "--out",
                  str(tmp_path / "x.csv")]) == 2
 
 
@@ -196,8 +184,7 @@ def test_spectrum_csv_export(pair1, tmp_path, capsys):
     assert kinds == {"rho", "sigma"}
 
 
-def test_sweep_row_error_recorded(tmp_path, monkeypatch):
-    monkeypatch.setenv("SZEGO_LAB_THREADS", "0")
+def test_sweep_row_error_recorded(tmp_path):
     out_csv = tmp_path / "err.csv"
     # gamma = 1.5 is invalid; the row records the error, the run continues
     assert main(["sweep", "--task", "zero-gap", "--grid", "0.3,1.5", "--out", str(out_csv)]) == 0
@@ -239,10 +226,22 @@ CONTRACT_DATA = {
     (["geometric", "--h", "0.7", "--z", "inf,0", "--out-dir", "{tmp}"], 2, "must be finite"),
     (["geometric", "--h", "0.7", "--z", "abc", "--out-dir", "{tmp}"], 2, "bad complex value"),
     (["sweep", "--task", "zero-gap", "--grid", "0.99", "--out", "{tmp}/z.csv"], 0, "rows=1"),
+    (["sweep", "--task", "zero-gap", "--grid", "0:inf:0.1", "--out", "{tmp}/z.csv"],
+     2, "must be finite"),
+    (["sweep", "--task", "zero-gap", "--grid", "nan:1:0.1", "--out", "{tmp}/z.csv"],
+     2, "must be finite"),
+    (["sweep", "--task", "zero-gap", "--grid", "0:1:nan", "--out", "{tmp}/z.csv"],
+     2, "step must be positive"),
+    (["spectrum", "--coeffs", "{tmp}/coeffs.csv", "--M", "-3"], 2, "must be >= 1"),
+    (["spectrum", "--coeffs", "{tmp}/coeffs.csv", "--M", "0"], 2, "must be >= 1"),
+    (["sweep", "--task", "operator-bounds", "--grid", "0.5", "--N", "-2", "--out", "{tmp}/b.csv"],
+     2, "--N must be >= 1"),
+    (["geometric", "--h", "0.7", "--r", "nan", "--out-dir", "{tmp}"], 2, "got r = nan"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():
         (tmp_path / name).write_text(json.dumps({"pairs": [{"s": v, "psi": 0.0} for v in s]}))
+    (tmp_path / "coeffs.csv").write_text("n,re,im\n0,1,0\n1,0.5,0\n")
     env = dict(os.environ, PYTHONPATH=str(Path(szegolab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "szegolab.cli"] + [a.format(tmp=tmp_path) for a in argv],
                           capture_output=True, text=True, timeout=60, env=env)

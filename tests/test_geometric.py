@@ -315,13 +315,16 @@ def test_u_via_toeplitz_r_validation():
     p = GeometricParams(h=np.log(2.0))
     with pytest.raises(ValidationError):
         u_via_toeplitz(p, 0.0, r=0.1, n=4)  # r below gamma
+    for r in (0.1, 1.0, np.nan):  # the scan shares the check
+        with pytest.raises(ValidationError):
+            stability_scan(p, 0.0, r, [4])
 
 
 # --- Wiener-Hopf -----------------------------------------------------------------------------
 
 def geometric_grid(h=np.log(2.0), theta=0.0, z=1.0, r=0.95, k=4096):
     p = GeometricParams(h=h, theta=theta)
-    return SymbolGrid.sample(lambda zeta: phi_symbol(p, z, r * zeta), k=k, radius=r, z=z)
+    return SymbolGrid.sample(lambda zeta: phi_symbol(p, z, r * zeta), k=k, radius=r)
 
 
 def test_wh_constant_symbol():

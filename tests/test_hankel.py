@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from szegolab import (HardyFunction, InsufficientTruncation, SpectralData, check_rank_one_identity,
-                      check_trace_identity, hankel_matrix, pair_singular_values,
-                      reconstruct_function, shifted_hankel_matrix, sobolev_norm, sum_rule_residual,
-                      tail_mass)
+from szegolab import (HardyFunction, InsufficientTruncation, SpectralData, ValidationError,
+                      check_rank_one_identity, check_trace_identity, hankel_matrix,
+                      pair_singular_values, reconstruct_function, shifted_hankel_matrix,
+                      sobolev_norm, sum_rule_residual, tail_mass)
 
 
 def geometric_function(b=0.75, p=0.5, m=64):
@@ -104,6 +104,12 @@ def test_tail_guard():
     assert tail_mass(u, 64) == 0.0
     with pytest.raises(InsufficientTruncation):
         pair_singular_values(u, 4)
+    # a size below 1 is invalid input (exit 2), not a tripped tail guard (exit 3)
+    for m in (0, -3):
+        with pytest.raises(ValidationError, match="must be >= 1"):
+            pair_singular_values(u, m)
+    with pytest.raises(ValidationError):
+        tail_mass(u, -1)
 
 
 def test_phase_invariance():

@@ -10,10 +10,12 @@ from szegolab import (AnglesNotZero, DegenerateSpectrum, SingularMatrix, Spectra
                       ValidationError, a_explicit, b_delta, build_c_matrix,
                       build_cdot_matrix, c0_inverse_sum_bound, c1_closed_form,
                       c1_lower_bound, cauchy_inverse_c0, cauchy_neumann_factors,
-                      cauchy_ones_solve, coeffs_from_disc_samples, entry_bound_table,
-                      operator_bounds, pair_singular_values, reconstruct_function,
-                      reconstruct_point, taylor_coefficients, weighted_first_moment)
+                      cauchy_ones_solve, entry_bound_table, operator_bounds,
+                      pair_singular_values, reconstruct_function, reconstruct_point,
+                      taylor_coefficients, weighted_first_moment)
 from szegolab import inverse as inverse_mod
+
+from disc_extraction import coeffs_from_disc_samples
 
 PAIR1 = SpectralData(np.array([1.0, 0.5]), np.zeros(2))
 
