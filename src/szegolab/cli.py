@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 validation error (bad file or parameters),
-3 numerical failure (a module guard tripped).  Outputs are deterministic
-for a fixed configuration; CSV values carry 17 significant digits.
+Exit codes: 0 success, 2 validation error (bad file or parameters, or a
+size too large to allocate), 3 numerical failure (a module guard tripped).
+Outputs are deterministic for a fixed configuration; CSV values carry 17
+significant digits.
 """
 
 from __future__ import annotations
@@ -57,8 +58,10 @@ def _parse_grid(text: str) -> list[float]:
             raise ValidationError(f"grid start and stop must be finite, got {text!r}")
         if not step > 0:  # NaN fails too
             raise ValidationError(f"grid step must be positive, got {step}")
-        n = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return [start + i * step for i in range(max(n, 0))]
+        n = np.floor((stop - start) / step + 1e-9) + 1
+        if not n <= 1e6:  # inf trips too
+            raise ValidationError(f"range grid {text!r} has {n:g} points, more than 1e6")
+        return [start + i * step for i in range(max(int(n), 0))]
     if not text.strip():
         return []
     try:
@@ -269,6 +272,9 @@ def main(argv=None) -> int:
         return 3
     except OSError as exc:
         print(f"error (io): {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error (memory): {exc}", file=sys.stderr)
         return 2
     return 0
 

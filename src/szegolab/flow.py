@@ -27,7 +27,6 @@ class FlowState:
     u: HardyFunction
     t: float
     dt: float
-    m: int
 
 
 def spectral_evolve(d: SpectralData, t: float) -> SpectralData:
@@ -80,7 +79,7 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
             if not abs(mass - mass0) <= MASS_DRIFT_LIMIT * mass0:  # NaN trips too
                 raise BlowupDetected(
                     f"mass drifted from {mass0:.6e} to {mass:.6e} at t = {step * dt_eff:.6g}")
-            out.append(FlowState(HardyFunction(c.copy()), t=step * dt_eff, dt=dt_eff, m=m))
+            out.append(FlowState(HardyFunction(c.copy()), t=step * dt_eff, dt=dt_eff))
         if step == n_steps:
             break
         k1 = _rhs_raw(c, k)
@@ -130,7 +129,7 @@ def conservation_report(trajectory: list[FlowState]) -> list[ConservationRow]:
     for state in trajectory:
         mass = sobolev_norm(state.u, 0.0) ** 2
         h_half = sobolev_norm(state.u, 0.5)
-        spec = pair_singular_values(state.u, state.m)
+        spec = pair_singular_values(state.u, len(state.u))
         merged = spec.merged()
         if ref is None:
             ref = (mass, h_half, merged)

@@ -70,7 +70,7 @@ def _check_pole_distance(gamma: float, zeta: np.ndarray) -> None:
         if np.any(rel < EPS_POLE):
             i = int(np.argmin(rel))
             raise NearPole(f"zeta = {np.atleast_1d(zeta)[i]:.9g} within {EPS_POLE:g} "
-                           f"relative of pole {pole if np.isscalar(pole) else pole[i]:.9g}")
+                           f"relative of pole {pole[i]:.9g}")
 
 
 def f_gamma(gamma: float, zeta):
@@ -127,9 +127,8 @@ def phi_laurent_coeff(p: GeometricParams, z: complex, ell: int, r: float = 1.0) 
 
 @dataclass(frozen=True)
 class SymbolGrid:
-    """Samples of a circle symbol at the K-th roots of unity times radius."""
+    """Samples of a circle symbol at the K-th roots of unity times a radius."""
 
-    radius: float
     values: np.ndarray
 
     def __post_init__(self):
@@ -147,7 +146,7 @@ class SymbolGrid:
     @classmethod
     def sample(cls, fn, k: int, radius: float = 1.0) -> "SymbolGrid":
         zeta = radius * np.exp(2j * np.pi * np.arange(k) / k)
-        return cls(radius=radius, values=np.asarray(fn(zeta), dtype=complex))
+        return cls(np.asarray(fn(zeta), dtype=complex))
 
 
 def _winding_from_values(vals: np.ndarray):
@@ -336,15 +335,12 @@ class WienerHopfFactors:
     """Factorization Phi = plus * minus_bar on the sampling grid.
 
     plus has only nonnegative Fourier modes, minus_bar only nonpositive
-    ones.  Coefficient arrays are indexed by |mode|: plus_coeffs[n] is the
-    mode-n coefficient of plus, minus_bar_coeffs[m] the mode-(-m)
-    coefficient of minus_bar.
+    ones; plus_coeffs[n] is the mode-n coefficient of plus.
     """
 
     plus_values: np.ndarray
     minus_bar_values: np.ndarray
     plus_coeffs: np.ndarray
-    minus_bar_coeffs: np.ndarray
 
 
 def wiener_hopf_factorize(grid: SymbolGrid) -> WienerHopfFactors:
@@ -368,13 +364,9 @@ def wiener_hopf_factorize(grid: SymbolGrid) -> WienerHopfFactors:
     minus_part = phi - plus_part
     plus_vals = np.exp(plus_part)
     minus_vals = np.exp(minus_part)
-    cp = np.fft.fft(plus_vals) / k
-    cm = np.fft.fft(minus_vals) / k
-    half = k // 2
-    plus_coeffs = cp[:half]
-    minus_bar_coeffs = np.concatenate([cm[:1], cm[:half - 1:-1]])  # modes 0, -1, -2, ...
+    plus_coeffs = (np.fft.fft(plus_vals) / k)[:k // 2]
     return WienerHopfFactors(plus_values=plus_vals, minus_bar_values=minus_vals,
-                             plus_coeffs=plus_coeffs, minus_bar_coeffs=minus_bar_coeffs)
+                             plus_coeffs=plus_coeffs)
 
 
 def wiener_hopf_inverse_residual(grid: SymbolGrid, n: int, factors: WienerHopfFactors | None = None) -> float:
@@ -412,12 +404,6 @@ class EllipticReport:
     period_residual_tau: float
     pole_coeff_residual: float
     zero_residual: float
-
-    def as_dict(self) -> dict:
-        return {"tau": self.tau, "period_residual_1": self.period_residual_1,
-                "period_residual_tau": self.period_residual_tau,
-                "pole_coeff_residual": self.pole_coeff_residual,
-                "zero_residual": self.zero_residual}
 
 
 def elliptic_check(p: GeometricParams) -> EllipticReport:

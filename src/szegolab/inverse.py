@@ -27,7 +27,7 @@ from .hardy import HardyFunction
 EPS_DEN = 1e-13    # relative-cancellation threshold for s_odd^2 - s_even^2
 EPS_COND = 1e12    # condition ceiling for the solve against I - z P
 
-_Factors = namedtuple("_Factors", "logmag sgn col_phase c p")
+_Factors = namedtuple("_Factors", "cinv c p")
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,7 @@ class SpectralData:
 
     @cached_property
     def _factors(self) -> _Factors:
-        """Read-only explicit-inverse log parts and (c, P), built on first use;
+        """Read-only explicit C(0) inverse and (c, P), built on first use;
         a build that raises caches nothing.  Threads racing on the first use may
         each build it, bitwise identically, so whichever result is kept is right."""
         return _build_factors(self)
@@ -154,15 +154,19 @@ def _log_abs_diff(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
 
 
 def _build_factors(d: SpectralData) -> _Factors:
-    """Log magnitudes, signs and column phases of the explicit C(0) inverse,
-    and (c, P), every array read-only.
+    """The explicit C(0) inverse and (c, P), every array read-only.
 
-    P is assembled column by column from log magnitudes so no intermediate
-    product can overflow or lose underflowed contributions.
+    Entries are formed from log magnitudes, and P = C(0)^(-1) Cdot is one
+    product whose factors cannot overflow: the left one, |C(0)^(-1)[k, j]|
+    / s_odd_j, stays at or below B_delta / (1 - delta^2) by the entry bound
+    that entry_bound_table checks, and the right one, s_odd_j s_even_l /
+    |s_odd_j^2 - s_even_l^2| = q / (1 - q^2) with q < 1 the pair ratio
+    that EPS_DEN guards, at or below 1 / EPS_DEN.
     """
     _check_denominators(d)
     n = d.n_pairs
-    logx = 2.0 * np.log(d.s_odd)
+    log_odd = np.log(d.s_odd)
+    logx = 2.0 * log_odd
     logy = 2.0 * np.log(d.s_even)
     lxy = _log_abs_diff(logx[:, None], logy[None, :])        # log|x_j - y_k|
     lxx = _log_abs_diff(logx[:, None], logx[None, :])
@@ -171,34 +175,29 @@ def _build_factors(d: SpectralData) -> _Factors:
     np.fill_diagonal(lyy, 0.0)
     log_alpha = lxy.sum(axis=1) - lxx.sum(axis=1)
     log_beta = lxy.sum(axis=0) - lyy.sum(axis=0)
-    jj, kk = np.meshgrid(np.arange(n), np.arange(n))         # kk = row, jj = column
-    # total sign reduces to sign(x_j - y_k); x_j > y_k exactly when j <= k
-    sgn = np.where(jj <= kk, 1.0, -1.0)
-    logmag = log_alpha[jj] + log_beta[kk] - lxy[jj, kk] - np.log(d.s_odd)[jj]
-    col_phase = np.exp(-1j * d.psi_odd)
-    c = (sgn * np.exp(logmag) * col_phase[None, :]).sum(axis=1)
-    log_cdot = np.log(d.s_even)[None, :] - lxy               # log|cdot_{j,l}|
-    jj, ll = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    sgn_cdot = np.where(jj <= ll, 1.0, -1.0)
-    p = np.empty((n, n), dtype=complex)
-    signed_cols = sgn * col_phase[None, :]                   # inverse entry phases, row k col j
-    for l in range(n):
-        terms = signed_cols * np.exp(logmag + log_cdot[:, l][None, :]) * sgn_cdot[:, l][None, :]
-        p[:, l] = np.exp(1j * d.psi_even[l]) * terms.sum(axis=1)
-    out = _Factors(logmag, sgn, col_phase, c, p)
+    # row k, column j; the total sign reduces to sign(x_j - y_k), + exactly when j <= k
+    logmag = log_alpha[None, :] + log_beta[:, None] - lxy.T - log_odd[None, :]
+    sgn = 2.0 * np.tri(n) - 1.0
+    signed_phase = sgn * np.exp(-1j * d.psi_odd)[None, :]
+    cinv = signed_phase * np.exp(logmag)
+    c = cinv.sum(axis=1)
+    left = signed_phase * np.exp(logmag - log_odd[None, :])
+    right = sgn.T * np.exp(np.log(d.s_even)[None, :] - lxy + log_odd[:, None])
+    p = (left @ right) * np.exp(1j * d.psi_even)[None, :]
+    out = _Factors(cinv, c, p)
     for a in out:
         a.flags.writeable = False
     return out
 
 
 def cauchy_inverse_c0(d: SpectralData) -> np.ndarray:
-    """Closed-form inverse of C(0) via products of squared-value differences.
+    """Closed-form inverse of C(0) via products of squared-value differences,
+    read-only and shared.
 
     Products are accumulated in log space so the formula stays usable for
     strongly decaying data where a dense solve has nothing left to offer.
     """
-    f = d._factors
-    return f.sgn * np.exp(f.logmag) * f.col_phase[None, :]
+    return d._factors.cinv
 
 
 def cauchy_neumann_factors(d: SpectralData):
@@ -319,7 +318,7 @@ def operator_bounds(d: SpectralData) -> OperatorBounds:
     delta = d.delta()
     if delta >= 1.0:
         raise ValidationError(f"s must be strictly decreasing, got ratio {delta}")
-    inv_sum = float(np.exp(d._factors.logmag).sum())
+    inv_sum = float(np.abs(d._factors.cinv).sum())
     l1 = float(np.abs(d._factors.p).sum(axis=0).max())
     radius = 1.0 / l1 - 1.0 if l1 > 0 else np.inf
     return OperatorBounds(
@@ -342,7 +341,7 @@ def entry_bound_table(d: SpectralData):
     """
     delta = d.delta()
     n = d.n_pairs
-    abs_entries = np.exp(d._factors.logmag)
+    abs_entries = np.abs(d._factors.cinv)
     jj, kk = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1))
     pattern = np.where(jj < kk, delta ** (2.0 * (kk - jj)),
                        np.where(jj <= kk + 1, 1.0, delta ** (2.0 * (jj - kk - 1))))

@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -210,6 +211,11 @@ CONTRACT_DATA = {
 }
 
 
+def _cap_address_space():
+    # at 4 GiB a huge allocation fails at once, whatever the host's overcommit policy
+    resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+
 @pytest.mark.parametrize("argv, code, text", [
     (["reconstruct", "--data", "{tmp}/underflow.json", "--modes", "8", "--out", "{tmp}/c.csv"],
      3, "DegenerateSpectrum"),
@@ -237,6 +243,14 @@ CONTRACT_DATA = {
     (["sweep", "--task", "operator-bounds", "--grid", "0.5", "--N", "-2", "--out", "{tmp}/b.csv"],
      2, "--N must be >= 1"),
     (["geometric", "--h", "0.7", "--r", "nan", "--out-dir", "{tmp}"], 2, "got r = nan"),
+    (["sweep", "--task", "zero-gap", "--grid", "0:1e300:1e-300", "--out", "{tmp}/z.csv"],
+     2, "more than 1e6"),
+    (["sweep", "--task", "zero-gap", "--grid", "0:1e9:1", "--out", "{tmp}/z.csv"], 2, "more than 1e6"),
+    (["spectrum", "--coeffs", "{tmp}/coeffs.csv", "--M", "100000000000"], 2, "error (memory)"),
+    (["reconstruct", "--data", "{tmp}/pair1.json", "--modes", "100000000000", "--out", "{tmp}/c.csv"],
+     2, "error (memory)"),
+    (["flow", "--data", "{tmp}/pair1.json", "--T", "1", "--dt", "0.01", "--modes", "100000000000",
+      "--out", "{tmp}/t.csv"], 2, "error (memory)"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():
@@ -244,7 +258,8 @@ def test_exit_code_contract(tmp_path, argv, code, text):
     (tmp_path / "coeffs.csv").write_text("n,re,im\n0,1,0\n1,0.5,0\n")
     env = dict(os.environ, PYTHONPATH=str(Path(szegolab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "szegolab.cli"] + [a.format(tmp=tmp_path) for a in argv],
-                          capture_output=True, text=True, timeout=60, env=env)
+                          capture_output=True, text=True, timeout=60, env=env,
+                          preexec_fn=_cap_address_space)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
     assert text in proc.stdout + proc.stderr

@@ -381,7 +381,7 @@ def test_wh_rejects_zero_on_contour():
     vals = np.exp(np.exp(2j * np.pi * np.arange(256) / 256))  # e^zeta: index 0, no zeros
     vals[5] = np.nan
     with pytest.raises(ZeroOnContour):
-        wiener_hopf_factorize(SymbolGrid(radius=1.0, values=vals))
+        wiener_hopf_factorize(SymbolGrid(values=vals))
 
 
 # --- doubly periodic cross-check ----------------------------------------------------------------
@@ -420,6 +420,6 @@ def test_elliptic_requires_zero_theta():
 
 def test_symbol_grid_validation():
     with pytest.raises(ValidationError):
-        SymbolGrid(radius=1.0, values=np.ones(100))     # not a power of two >= 256
+        SymbolGrid(values=np.ones(100))     # not a power of two >= 256
     with pytest.raises(ValidationError):
-        SymbolGrid(radius=1.0, values=np.ones(300))
+        SymbolGrid(values=np.ones(300))

@@ -296,6 +296,55 @@ def test_neumann_factors_consistency():
     assert np.abs(p - inv @ build_cdot_matrix(d)).max() < 1e-12
 
 
+def test_factors_scale_covariant():
+    # C(0) scales like 1/lambda and Cdot stays fixed, so P is scale free and c scales with s
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        d = random_data(rng, n)
+        c, p = cauchy_neumann_factors(d)
+        for lam in (1e-150, 1e100):
+            c2, p2 = cauchy_neumann_factors(SpectralData(lam * d.s, d.psi))
+            assert np.linalg.norm(c2 / lam - c) <= 1e-11 * np.linalg.norm(c)
+            assert np.linalg.norm(p2 - p) <= 1e-11 * np.linalg.norm(p)
+
+
+def test_factors_survive_underflowing_squares():
+    # delta = 1e-3 at N = 50 takes s down to 1e-300; the squares from s_54 on underflow to 0
+    delta, n = 1e-3, 50
+    d = SpectralData(delta ** np.arange(1, 2 * n + 1), np.zeros(2 * n))
+    c, p = cauchy_neumann_factors(d)
+    assert np.all(np.isfinite(c)) and np.all(np.isfinite(p))
+    assert np.abs(p).sum(axis=0).max() <= a_explicit(delta)
+
+
+def _factors_mpmath(d, dps):
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        so, se = (mp.matrix([mp.mpf(float(v)) for v in a]) for a in (d.s_odd, d.s_even))
+        po, pe = ([mp.expj(mp.mpf(float(v))) for v in a] for a in (d.psi_odd, d.psi_even))
+        n = d.n_pairs
+        den = [[so[j] ** 2 - se[k] ** 2 for k in range(n)] for j in range(n)]
+        c0 = mp.matrix([[so[j] * po[j] / den[j][k] for k in range(n)] for j in range(n)])
+        cdot = mp.matrix([[se[k] * pe[k] / den[j][k] for k in range(n)] for j in range(n)])
+        inv = c0 ** -1
+        p = inv * cdot
+        c = inv * mp.matrix([1] * n)
+        return (np.array([complex(c[k]) for k in range(n)]),
+                np.array([[complex(p[k, l]) for l in range(n)] for k in range(n)]))
+
+
+def test_factors_match_mpmath():
+    rng = np.random.default_rng(12)
+    n = 8
+    for delta in (0.05, 0.5):
+        for psi in (np.zeros(2 * n), rng.uniform(0.0, 2.0 * np.pi, size=2 * n)):
+            d = SpectralData(delta ** np.arange(1, 2 * n + 1), psi)
+            c, p = cauchy_neumann_factors(d)
+            c_ref, p_ref = _factors_mpmath(d, 120)
+            assert np.linalg.norm(c - c_ref) <= 1e-12 * np.linalg.norm(c_ref)
+            assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+
+
 # --- the factorization shared by one value ------------------------------------------
 
 def count_builds(monkeypatch):
@@ -332,6 +381,10 @@ def test_factors_are_read_only():
         p[0, 0] = 0.0
     c2, p2 = cauchy_neumann_factors(d)
     assert np.array_equal(c2, c_before) and np.array_equal(p2, p_before)
+    inv = cauchy_inverse_c0(d)
+    with pytest.raises(ValueError):
+        inv[0, 0] = 0.0
+    assert cauchy_inverse_c0(d) is inv
 
 
 def test_separate_values_agree_bitwise():
