@@ -28,8 +28,11 @@ def write_csv(path, header, rows) -> None:
 
 def read_csv(path):
     path = Path(path)
-    with path.open("r", newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
+    try:
+        with path.open("r", newline="", encoding="utf-8") as f:
+            rows = list(csv.reader(f))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ValidationError(f"{path}: not a valid CSV file ({exc})") from exc
     if not rows:
         raise ValidationError(f"{path}: empty CSV")
     return rows[0], rows[1:]
@@ -40,7 +43,7 @@ def load_json(path):
     try:
         with path.open("r", encoding="utf-8") as f:
             return json.load(f)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad syntax, bad UTF-8, or an integer past the digit limit
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -262,6 +262,8 @@ def fhat_closed_form(gamma: float, theta_angle: float, xi: float) -> float:
     Evaluates (pi / 2|log gamma|) cosh((pi - theta) xi / 2 log gamma) /
     cosh(pi xi / 2 log gamma) in overflow-safe exponential form.
     """
+    if not (0.0 < gamma < 1.0):
+        raise ValidationError(f"gamma must be in (0, 1), got {gamma}")
     if not (0.0 < theta_angle < 2.0 * math.pi):
         raise ValidationError(f"theta_angle must be in (0, 2 pi), got {theta_angle}")
     lg = abs(math.log(gamma))
@@ -334,13 +336,11 @@ def stability_scan(p: GeometricParams, z: complex, r: float, n_list) -> list[tup
 class WienerHopfFactors:
     """Factorization Phi = plus * minus_bar on the sampling grid.
 
-    plus has only nonnegative Fourier modes, minus_bar only nonpositive
-    ones; plus_coeffs[n] is the mode-n coefficient of plus.
+    plus has only nonnegative Fourier modes, minus_bar only nonpositive ones.
     """
 
     plus_values: np.ndarray
     minus_bar_values: np.ndarray
-    plus_coeffs: np.ndarray
 
 
 def wiener_hopf_factorize(grid: SymbolGrid) -> WienerHopfFactors:
@@ -362,24 +362,20 @@ def wiener_hopf_factorize(grid: SymbolGrid) -> WienerHopfFactors:
     freq = np.fft.fftfreq(k, 1.0 / k).astype(int)
     plus_part = np.fft.ifft(np.where(freq >= 0, phih, 0.0) * k)
     minus_part = phi - plus_part
-    plus_vals = np.exp(plus_part)
-    minus_vals = np.exp(minus_part)
-    plus_coeffs = (np.fft.fft(plus_vals) / k)[:k // 2]
-    return WienerHopfFactors(plus_values=plus_vals, minus_bar_values=minus_vals,
-                             plus_coeffs=plus_coeffs)
+    return WienerHopfFactors(plus_values=np.exp(plus_part), minus_bar_values=np.exp(minus_part))
 
 
-def wiener_hopf_inverse_residual(grid: SymbolGrid, n: int, factors: WienerHopfFactors | None = None) -> float:
+def wiener_hopf_inverse_residual(grid: SymbolGrid, n: int) -> float:
     """Interior-block residual of T(1/plus) T(1/minus_bar) T(Phi) against identity.
 
     Products are applied right to left; with that order the only truncation
     leakage decays with the negative-mode coefficients, so the middle
     N/2 x N/2 block isolates the genuine factorization error.
     """
-    f = factors if factors is not None else wiener_hopf_factorize(grid)
     k = grid.nodes
     if n > k // 2:
         raise ValidationError(f"matrix size {n} needs modes beyond the {k}-node grid")
+    f = wiener_hopf_factorize(grid)
 
     def toeplitz_of(values):
         ch = np.fft.fft(values) / k

@@ -1,9 +1,9 @@
 """Direct spectral transform: truncated Hankel matrices and their singular values.
 
 The two matrices built from a coefficient vector are (u_hat(n+p)) and the
-shifted (u_hat(n+p+1)).  Their singular values are extracted from the
-Hermitian Gram matrices A A*, which is also how the trace and rank-one
-identities are checked.
+shifted (u_hat(n+p+1)): the first and last m rows of one (m+1) x m array H.
+Their singular values are extracted from the two diagonal blocks of the one
+Hermitian Gram matrix H H*, which is also how the rank-one identity is checked.
 """
 
 from __future__ import annotations
@@ -21,29 +21,25 @@ TAU_EIG = 1e-9     # distinctness / interlacing slack, relative to the largest v
 TAIL_RTOL = 1e-10  # largest tolerated tail_mass / total trace
 
 
-def _padded(u: HardyFunction, m: int) -> np.ndarray:
+def _hankel_rows(u: HardyFunction, m: int) -> np.ndarray:
+    """(m+1) x m array H[n, p] = u_hat(n + p), zero past the support; rows 0..m-1
+    are the plain matrix and rows 1..m the shifted one (largest index read: 2m - 1)."""
+    if m < 1:
+        raise ValidationError(f"matrix size must be >= 1, got {m}")
     c = np.zeros(2 * m, dtype=complex)
     take = min(len(u), 2 * m)
     c[:take] = u.coeffs[:take]
-    return c
+    return c[np.arange(m + 1)[:, None] + np.arange(m)[None, :]]
 
 
 def hankel_matrix(u: HardyFunction, m: int) -> np.ndarray:
     """A[n, p] = u_hat(n + p), entries beyond the coefficient support are 0."""
-    if m < 1:
-        raise ValidationError(f"matrix size must be >= 1, got {m}")
-    c = _padded(u, m)
-    n = np.arange(m)
-    return c[n[:, None] + n[None, :]]
+    return _hankel_rows(u, m)[:-1]
 
 
 def shifted_hankel_matrix(u: HardyFunction, m: int) -> np.ndarray:
     """A[n, p] = u_hat(n + p + 1)."""
-    if m < 1:
-        raise ValidationError(f"matrix size must be >= 1, got {m}")
-    c = np.concatenate([_padded(u, m), [0.0]])
-    n = np.arange(m)
-    return c[n[:, None] + n[None, :] + 1]
+    return _hankel_rows(u, m)[1:]
 
 
 def tail_mass(u: HardyFunction, m: int) -> float:
@@ -102,8 +98,8 @@ class HankelSpectrum:
         write_csv(path, ["index", "kind", "value"], rows)
 
 
-def _gram_singular_values(a: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(a @ a.conj().T)[::-1]
+def _gram_singular_values(g: np.ndarray) -> np.ndarray:
+    lam = np.linalg.eigvalsh(g)[::-1]
     lam = np.clip(lam, 0.0, None)
     if lam.size == 0 or lam[0] == 0.0:
         return np.array([])
@@ -114,18 +110,19 @@ def _gram_singular_values(a: np.ndarray) -> np.ndarray:
 def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     """Descending singular-value lists of the m x m plain and shifted Hankel matrices.
 
+    rho and sigma come from the blocks G[:-1, :-1] and G[1:, 1:] of one G = H H*.
     The caller owns the truncation: if the coefficient vector extends past m,
     the discarded trace must stay below TAIL_RTOL of the total.
     """
-    if m < 1:
-        raise ValidationError(f"matrix size must be >= 1, got {m}")
+    h = _hankel_rows(u, m)
     tm = tail_mass(u, m)
     total = sobolev_norm(u, 0.5) ** 2
     if total > 0 and tm > TAIL_RTOL * total:
         raise InsufficientTruncation(
             f"tail mass {tm:.3e} exceeds {TAIL_RTOL:g} of total trace {total:.3e}; increase m={m}")
-    rho = _gram_singular_values(hankel_matrix(u, m))
-    sigma = _gram_singular_values(shifted_hankel_matrix(u, m))
+    g = h @ h.conj().T
+    rho = _gram_singular_values(g[:-1, :-1])
+    sigma = _gram_singular_values(g[1:, 1:])
     return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=tm)
 
 
@@ -140,10 +137,10 @@ def check_rank_one_identity(u: HardyFunction, m: int) -> float:
     Measured on the top-left m/2 block where truncation edge effects vanish
     for coefficients supported in [0, m/2].
     """
-    g = hankel_matrix(u, m)
-    gs = shifted_hankel_matrix(u, m)
-    c = _padded(u, m)[:m]
-    resid = gs @ gs.conj().T - g @ g.conj().T + np.outer(c, c.conj())
+    h = _hankel_rows(u, m)
+    g = h @ h.conj().T
+    c = h[0]  # u_hat(0..m-1)
+    resid = g[1:, 1:] - g[:-1, :-1] + np.outer(c, c.conj())
     half = max(m // 2, 1)
     return float(np.abs(resid[:half, :half]).max())
 

@@ -47,10 +47,12 @@ class HardyFunction:
         coeffs = np.zeros(len(rows), dtype=complex)
         seen = set()
         for row in rows:
+            if len(row) != 3:
+                raise ValidationError(f"{path}: bad row {row}: need exactly 3 fields n,re,im")
             try:
                 n = int(row[0])
                 value = complex(float(row[1]), float(row[2]))
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise ValidationError(f"{path}: bad row {row}: {exc}") from exc
             # len(rows) distinct indices in 0..len-1 leave no gap
             if not 0 <= n < len(rows):

@@ -94,10 +94,16 @@ class SpectralData:
     @classmethod
     def from_json_obj(cls, obj) -> "SpectralData":
         try:
-            pairs = obj["pairs"]
-            s = np.array([float(p["s"]) for p in pairs])
-            psi = np.array([float(p["psi"]) for p in pairs])
-        except (KeyError, TypeError, ValueError) as exc:
+            pairs = [(p["s"], p["psi"]) for p in obj["pairs"]]
+        except (KeyError, TypeError) as exc:
+            raise ValidationError(f"bad spectral data object: {exc}") from exc
+        for value in (v for pair in pairs for v in pair):
+            if isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON numbers only
+                raise ValidationError(f"bad spectral data object: {value!r} is not a number")
+        try:
+            s = np.array([float(a) for a, _ in pairs])
+            psi = np.array([float(b) for _, b in pairs])
+        except OverflowError as exc:  # an int beyond the float range
             raise ValidationError(f"bad spectral data object: {exc}") from exc
         return cls(s, psi)
 
@@ -229,6 +235,8 @@ def reconstruct_point(d: SpectralData, z: complex, method: str = "neumann") -> c
 
 def taylor_coefficients(d: SpectralData, m: int) -> np.ndarray:
     """First m Taylor coefficients via the recursion u_hat(n) = 1^T P^n c."""
+    if m < 1:
+        raise ValidationError(f"need m >= 1 coefficients, got {m}")
     c, p = cauchy_neumann_factors(d)
     out = np.empty(m, dtype=complex)
     v = c.copy()
@@ -244,8 +252,6 @@ def reconstruct_function(d: SpectralData, m: int) -> HardyFunction:
     Expands u(z) = sum z^n (1^T P^n c) directly, so every coefficient comes
     out at working precision with no radius choice.
     """
-    if m < 1:
-        raise ValidationError(f"need m >= 1 coefficients, got {m}")
     return HardyFunction(taylor_coefficients(d, m))
 
 

@@ -210,7 +210,7 @@ def test_criterion_7_wiener_hopf():
                                  k=4096, radius=0.95)
         factors = wiener_hopf_factorize(grid)
         prod_res = float(np.abs(factors.plus_values * factors.minus_bar_values - grid.values).max())
-        inv_res = wiener_hopf_inverse_residual(grid, 256, factors)
+        inv_res = wiener_hopf_inverse_residual(grid, 256)
         assert prod_res <= 1e-9 and inv_res <= 1e-6
         worst_prod = worst_inv = 0.0
         rng = np.random.default_rng(7)
@@ -231,7 +231,7 @@ def test_criterion_7_wiener_hopf():
             tf = wiener_hopf_factorize(tgrid)
             worst_prod = max(worst_prod, float(np.abs(
                 tf.plus_values * tf.minus_bar_values - tgrid.values).max()))
-            worst_inv = max(worst_inv, wiener_hopf_inverse_residual(tgrid, 64, tf))
+            worst_inv = max(worst_inv, wiener_hopf_inverse_residual(tgrid, 64))
         assert worst_prod <= 1e-9 and worst_inv <= 1e-6
         print(f"[acceptance] 7: geometric product {prod_res:.2e} interior {inv_res:.2e}; "
               f"random polys product {worst_prod:.2e} interior {worst_inv:.2e}")

@@ -105,12 +105,15 @@ def test_step_validation():
     for t_final, dt in ((np.inf, 1e-3), (np.nan, 1e-3), (1.0, np.inf), (1.0, np.nan)):
         with pytest.raises(ValidationError):
             integrate(HardyFunction(np.array([1.0])), t_final, dt, 4)
+    for m in (0, -1):
+        with pytest.raises(ValidationError, match="m >= 1"):
+            integrate(HardyFunction(np.array([1.0])), 1.0, 0.1, m)
 
 
 def test_blowup_guard_trips_on_corrupted_rhs(monkeypatch):
     import szegolab.flow as flow_mod
 
-    def bad_rhs(c, k):
+    def bad_rhs(c):
         return 0.05 * c  # injects anti-damping: mass grows
 
     monkeypatch.setattr(flow_mod, "_rhs_raw", bad_rhs)
@@ -121,7 +124,7 @@ def test_blowup_guard_trips_on_corrupted_rhs(monkeypatch):
 def test_blowup_guard_trips_on_nan_rhs(monkeypatch):
     import szegolab.flow as flow_mod
 
-    monkeypatch.setattr(flow_mod, "_rhs_raw", lambda c, k: np.full(c.size, np.nan + 0j))
+    monkeypatch.setattr(flow_mod, "_rhs_raw", lambda c: np.full(c.size, np.nan + 0j))
     with pytest.raises(BlowupDetected):
         flow_mod.integrate(HardyFunction(np.array([1.0 + 0j])), 0.1, 0.05, 2)
 

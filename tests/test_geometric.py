@@ -229,6 +229,14 @@ def test_fhat_at_zero():
         assert abs(fhat_closed_form(g, 1.1, 0.0) - np.pi / (2 * abs(np.log(g)))) < 1e-14
 
 
+def test_fhat_rejects_gamma_outside_unit_interval():
+    for g in (0.0, 1.0, 1.5, -0.5, float("nan")):
+        with pytest.raises(ValidationError, match="gamma must be in"):
+            fhat_closed_form(g, 1.1, 0.0)
+        with pytest.raises(ValidationError, match="gamma must be in"):
+            poisson_gap_bound(g)
+
+
 def test_fhat_even_in_xi():
     assert abs(fhat_closed_form(0.4, 2.0, 1.7) - fhat_closed_form(0.4, 2.0, -1.7)) < 1e-15
 
@@ -341,7 +349,8 @@ def test_wh_analytic_symbol_splits_trivially():
     zeta = np.exp(2j * np.pi * np.arange(512) / 512)
     assert np.abs(f.plus_values - (1.0 - a * zeta)).max() < 1e-12
     assert np.abs(f.minus_bar_values - 1.0).max() < 1e-12
-    assert abs(f.plus_coeffs[0] - 1.0) < 1e-12 and abs(f.plus_coeffs[1] + a) < 1e-12
+    cp = np.fft.fft(f.plus_values) / 512
+    assert abs(cp[0] - 1.0) < 1e-12 and abs(cp[1] + a) < 1e-12
 
 
 def test_wh_geometric_product_residual():

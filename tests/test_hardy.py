@@ -135,6 +135,19 @@ def test_csv_rejects_bad_indices(tmp_path):
             HardyFunction.load_csv(path)
 
 
+def test_csv_rejects_bad_rows_and_bytes(tmp_path):
+    path = tmp_path / "u.csv"
+    for body in ("0,1,0,7\n", "0,1\n", "0,1,0\n\n"):
+        path.write_text("n,re,im\n" + body)
+        with pytest.raises(ValidationError, match="exactly 3 fields"):
+            HardyFunction.load_csv(path)
+    # bad UTF-8, and a field past the csv module's size limit
+    for raw in (b"n,re,im\n0,1,0\xff\n", b"n,re,im\n0," + b"1" * 200000 + b",0\n"):
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match="not a valid CSV file"):
+            HardyFunction.load_csv(path)
+
+
 def test_validation_errors():
     with pytest.raises(ValidationError):
         HardyFunction(np.array([]))

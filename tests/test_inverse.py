@@ -37,6 +37,29 @@ def test_data_validation():
         SpectralData(np.array([0.5, 0.5]), np.zeros(2))
     with pytest.raises(ValidationError, match="positive"):
         SpectralData(np.array([1.0, -0.5]), np.zeros(2))
+    for m in (0, -1):
+        with pytest.raises(ValidationError, match="m >= 1"):
+            taylor_coefficients(PAIR1, m)
+        with pytest.raises(ValidationError, match="m >= 1"):
+            reconstruct_function(PAIR1, m)
+
+
+def test_data_json_accepts_only_numbers():
+    # strings and booleans are not JSON numbers, even where float() would take them
+    for s0, psi0, bad in (("1.0", 0.0, "'1.0'"), (1.0, True, "True"), (10 ** 400, 0.0, "too large")):
+        obj = {"pairs": [{"s": s0, "psi": psi0}, {"s": 0.5, "psi": 0.0}]}
+        with pytest.raises(ValidationError, match=bad):
+            SpectralData.from_json_obj(obj)
+    d = SpectralData.from_json_obj({"pairs": [{"s": 2, "psi": 0}, {"s": 0.5, "psi": 1.5}]})
+    assert np.array_equal(d.s, [2.0, 0.5]) and np.array_equal(d.psi, [0.0, 1.5])
+
+
+def test_data_json_rejects_unreadable_files(tmp_path):
+    path = tmp_path / "d.json"
+    for raw in (b'{"pairs": [', b'{"pairs": [\xff]}', b'{"pairs": [{"s": ' + b"1" * 5000 + b"}]}"):
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match="not valid JSON"):
+            SpectralData.load_json(path)
 
 
 def test_data_json_roundtrip(tmp_path):
