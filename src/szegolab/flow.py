@@ -59,8 +59,9 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
     mass is monitored because the flow conserves it exactly, and a drift
     beyond MASS_DRIFT_LIMIT aborts with BlowupDetected.
     """
-    if not (0 < dt < np.inf and 0 <= t_final < np.inf and m >= 1):  # NaN fails too
-        raise ValidationError(f"need finite dt > 0, t_final >= 0, m >= 1, got dt={dt}, T={t_final}, m={m}")
+    if not (0 < dt < np.inf and 0 <= t_final < np.inf and m >= 1 and n_samples >= 2):  # NaN fails too
+        raise ValidationError(f"need finite dt > 0, t_final >= 0, m >= 1, n_samples >= 2, "
+                              f"got dt={dt}, T={t_final}, m={m}, n_samples={n_samples}")
     c = np.zeros(m, dtype=complex)
     take = min(len(u0), m)
     c[:take] = u0.coeffs[:take]

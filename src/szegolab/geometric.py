@@ -27,7 +27,6 @@ EPS_ZERO = 1e-9   # contour zero guard
 EPS_TRUNC = 1e-13  # smallest/largest singular value floor of a truncated Toeplitz matrix
 F_TOL = 1e-14     # tail tolerance of the truncated kernel series
 WINDING_NODES = (256, 1 << 18)  # first and last node count of the winding refinement
-ZERO_GAP_GRID = 4096  # angle grid of the zero-gap scan
 ELLIPTIC_GRID = (6, 4)  # real x imaginary sample counts of the periodicity check
 DEFAULT_R = 0.95
 
@@ -127,7 +126,7 @@ def phi_laurent_coeff(p: GeometricParams, z: complex, ell: int, r: float = 1.0) 
 
 @dataclass(frozen=True)
 class SymbolGrid:
-    """Samples of a circle symbol at the K-th roots of unity times a radius."""
+    """Samples of a circle symbol at the K-th roots of unity."""
 
     values: np.ndarray
 
@@ -144,8 +143,8 @@ class SymbolGrid:
         return self.values.size
 
     @classmethod
-    def sample(cls, fn, k: int, radius: float = 1.0) -> "SymbolGrid":
-        zeta = radius * np.exp(2j * np.pi * np.arange(k) / k)
+    def sample(cls, fn, k: int) -> "SymbolGrid":
+        zeta = np.exp(2j * np.pi * np.arange(k) / k)
         return cls(np.asarray(fn(zeta), dtype=complex))
 
 
@@ -190,28 +189,6 @@ def index_profile(gamma: float, radii) -> list[tuple[float, int | None]]:
 # --- the zero-gap certificate -------------------------------------------
 
 
-def _refine_extremum(fn, grid: np.ndarray, minimize: bool) -> float:
-    """Extremum of fn on a grid, refined by shrinking a 9-point bracket around it.
-
-    Each new bracket lies inside the previous one, so the loop stops by
-    itself once the bracket no longer changes.
-    """
-    vals = fn(grid)
-    i = int(np.argmin(vals) if minimize else np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    while True:
-        pts = np.linspace(lo, hi, 9)
-        v = fn(pts)
-        j = int(np.argmin(v) if minimize else np.argmax(v))
-        bracket = (pts[max(j - 1, 0)], pts[min(j + 1, 8)])
-        if bracket == (lo, hi):
-            break
-        lo, hi = bracket
-    mid = fn(np.array([(lo + hi) / 2.0]))[0]
-    return float(min(mid, vals[i]) if minimize else max(mid, vals[i]))
-
-
 def poisson_gap_bound(gamma: float) -> float:
     """(pi/|log gamma|) sum over n >= 1 of 1/cosh(pi^2 n / |log gamma|), as 2 fhat(pi, 2 pi n)."""
     total = 0.0
@@ -242,18 +219,39 @@ class ZeroGapReport:
 def zero_gap(gamma: float) -> ZeroGapReport:
     """Gap between min |kernel| on |zeta|=1 and sqrt(gamma) max |kernel| on |zeta|=gamma.
 
-    Both extrema are |f_gamma| scanned on an angle grid and locally refined;
-    positivity of the gap is the no-zeros certificate, and poisson_bound is
-    its closed-form lower bound.
+    Both extrema are proved, not searched.  With q = gamma^2 and
+    theta(x; q) = (x; q)(q/x; q), Kronecker's product
+    F(zeta) = (q; q)^2 theta(gamma zeta; q) / (theta(gamma; q) theta(zeta; q))
+    gives, for zeta = e^(2iz) with z real and the Jacobi thetas of nome gamma,
+    |F(e^(2iz))| = c |theta4(z) / theta1(z)| and
+    |F(gamma e^(2iz))| = c' |theta1(z) / theta4(z)| with c, c' > 0.  Since
+    theta1/theta4 = sqrt(k) sn(2Kz/pi, k) with |sn| <= 1 on the real line,
+    and equality only at z = pi/2 mod pi, the unit-circle minimum is |F(-1)|
+    and the inner maximum is |F(-gamma)|, for every gamma in (0, 1).  Their
+    ratio sqrt(gamma) |F(-gamma)| / |F(-1)| is the modulus k, so
+
+        gap = |F(-1)| (1 - k) = |F(-1)| k'^2 / (1 + k),
+        log k' = 4 sum over n >= 1 of log((1 - x_n) / (1 + x_n)) = -8 sum atanh(x_n),
+
+    with x_n = gamma^(2n-1).  The gap is formed in log space, so no two
+    nearly equal numbers are subtracted; it underflows to 0.0 only where
+    the true gap is below the double range, from gamma of about 0.987 on.
+    Positivity of the gap is the no-zeros certificate, and poisson_bound
+    is its closed-form lower bound.
     """
     if not (0.0 < gamma < 1.0):
         raise ValidationError(f"gamma must be in (0, 1), got {gamma}")
-    theta = np.linspace(0.0, np.pi, ZERO_GAP_GRID // 2 + 1)[1:]  # even in theta; exclude the pole at 0
-    mn = _refine_extremum(lambda t: np.abs(f_gamma(gamma, np.exp(1j * t))), theta, minimize=True)
-    mx = _refine_extremum(lambda t: np.abs(f_gamma(gamma, gamma * np.exp(1j * t))), theta, minimize=False)
-    scaled = math.sqrt(gamma) * mx
+    mn = abs(f_gamma(gamma, -1.0))
+    scaled = math.sqrt(gamma) * abs(f_gamma(gamma, -gamma))
+    # log k'^2 = -16 sum atanh(x_n); the terms after x_n add less than x_n / (1 - gamma^2)
+    tail = 16.0 / (1.0 - gamma * gamma)
+    terms, n = [], 1
+    while tail * gamma ** (2 * n - 1) >= np.finfo(float).eps:
+        terms.append(math.atanh(gamma ** (2 * n - 1)))
+        n += 1
+    gap = math.exp(math.log(mn) - 16.0 * math.fsum(terms) - math.log1p(scaled / mn))
     return ZeroGapReport(gamma=gamma, min_unit=mn, max_inner_scaled=scaled,
-                         gap=mn - scaled, poisson_bound=poisson_gap_bound(gamma))
+                         gap=gap, poisson_bound=poisson_gap_bound(gamma))
 
 
 def fhat_closed_form(gamma: float, theta_angle: float, xi: float) -> float:

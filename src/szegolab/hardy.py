@@ -49,6 +49,8 @@ class HardyFunction:
         for row in rows:
             if len(row) != 3:
                 raise ValidationError(f"{path}: bad row {row}: need exactly 3 fields n,re,im")
+            if any("_" in field for field in row):  # int and float read 1_0 as 10
+                raise ValidationError(f"{path}: bad row {row}: digit-group underscores are not accepted")
             try:
                 n = int(row[0])
                 value = complex(float(row[1]), float(row[2]))

@@ -358,8 +358,8 @@ def entry_bound_table(d: SpectralData):
 # --- zero-angle closed forms -------------------------------------------
 
 
-def _require_zero_angles(d: SpectralData, tol: float = 1e-12) -> None:
-    if np.abs(d.psi).max() > tol:
+def _require_zero_angles(d: SpectralData) -> None:
+    if np.abs(d.psi).max() > 1e-12:
         r = int(np.argmax(np.abs(d.psi)))
         raise AnglesNotZero(f"psi_{r + 1} = {d.psi[r]:.3e} is not zero")
 

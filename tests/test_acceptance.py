@@ -206,8 +206,7 @@ def test_criterion_7_wiener_hopf():
     """Factor product to 1e-9 and interior inverse block to 1e-6."""
     with Gate("7 Wiener-Hopf", 30):
         p = GeometricParams(h=np.log(2.0), theta=0.0)
-        grid = SymbolGrid.sample(lambda zeta: phi_symbol(p, 1.0, 0.95 * zeta),
-                                 k=4096, radius=0.95)
+        grid = SymbolGrid.sample(lambda zeta: phi_symbol(p, 1.0, 0.95 * zeta), k=4096)
         factors = wiener_hopf_factorize(grid)
         prod_res = float(np.abs(factors.plus_values * factors.minus_bar_values - grid.values).max())
         inv_res = wiener_hopf_inverse_residual(grid, 256)

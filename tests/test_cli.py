@@ -253,12 +253,14 @@ def _cap_address_space():
       "--out", "{tmp}/t.csv"], 2, "error (memory)"),
     (["certify", "--data", "{tmp}/text.json"], 2, "'1.0' is not a number"),
     (["spectrum", "--coeffs", "{tmp}/four_fields.csv", "--M", "4"], 2, "need exactly 3 fields"),
+    (["spectrum", "--coeffs", "{tmp}/underscore.csv", "--M", "2"], 2, "underscores are not accepted"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():
         (tmp_path / name).write_text(json.dumps({"pairs": [{"s": v, "psi": 0.0} for v in s]}))
     (tmp_path / "coeffs.csv").write_text("n,re,im\n0,1,0\n1,0.5,0\n")
     (tmp_path / "four_fields.csv").write_text("n,re,im\n0,1,0,7\n")
+    (tmp_path / "underscore.csv").write_text("n,re,im\n0,1_0,0\n")
     (tmp_path / "text.json").write_text('{"pairs": [{"s": "1.0", "psi": true}, {"s": 0.5, "psi": 0.0}]}')
     env = dict(os.environ, PYTHONPATH=str(Path(szegolab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "szegolab.cli"] + [a.format(tmp=tmp_path) for a in argv],

@@ -108,6 +108,10 @@ def test_step_validation():
     for m in (0, -1):
         with pytest.raises(ValidationError, match="m >= 1"):
             integrate(HardyFunction(np.array([1.0])), 1.0, 0.1, m)
+    # fewer than two samples would drop the endpoint and its mass check
+    for n_samples in (-1, 0, 1):
+        with pytest.raises(ValidationError, match="n_samples >= 2"):
+            integrate(HardyFunction(np.array([1.0])), 1.0, 1e-3, 4, n_samples=n_samples)
 
 
 def test_blowup_guard_trips_on_corrupted_rhs(monkeypatch):

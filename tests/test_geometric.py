@@ -9,7 +9,6 @@ from szegolab import (GeometricParams, NearPole, SymbolGrid, ValidationError,
                       stability_scan, toeplitz_truncated, u_via_toeplitz,
                       wiener_hopf_factorize, wiener_hopf_inverse_residual, winding_index,
                       zero_gap)
-from szegolab.geometric import _refine_extremum
 
 GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -188,19 +187,35 @@ def test_zero_gap_extrema_match_mpmath():
         assert abs(rep.max_inner_scaled - want_max) <= 1e-14 * want_max
 
 
-@pytest.mark.parametrize("fn", [lambda t: np.ones_like(t), lambda t: np.full_like(t, np.nan)])
-def test_refine_extremum_stops_by_itself(fn):
-    calls = []
+def _gap_mpmath(gamma):
+    """|F(-1)| k'^2 / (1 + k), with k' from its theta product at 60 digits and k = sqrt(1 - k'^2)."""
+    mp = pytest.importorskip("mpmath")
+    f_minus_one = _kernel_mpmath(gamma, -1)
+    with mp.workdps(60):
+        g = mp.mpf(gamma)
+        n = int(mp.ceil(mp.log(mp.mpf("1e-62")) / mp.log(g)))
+        kp = mp.fprod(((1 - g ** (2 * j - 1)) / (1 + g ** (2 * j - 1))) ** 4 for j in range(1, n + 1))
+        return f_minus_one * kp ** 2 / (1 + mp.sqrt(1 - kp ** 2))
 
-    def counted(t):
-        calls.append(t.size)
-        return fn(t)
 
-    grid = np.linspace(0.0, np.pi, 2049)[1:]
-    for minimize in (True, False):
-        calls.clear()
-        _refine_extremum(counted, grid, minimize)
-        assert len(calls) <= 200
+def test_zero_gap_matches_mpmath_without_slack():
+    for g in (0.05, 0.25, 0.5, 0.8, 0.9, 0.95):
+        rep = zero_gap(g)
+        want = float(_gap_mpmath(g))
+        assert abs(rep.gap - want) <= 1e-13 * want
+        assert rep.gap >= rep.poisson_bound
+    assert zero_gap(0.99).gap >= 0.0
+
+
+def test_zero_gap_extrema_dominate_an_angle_scan():
+    # the scan the closed form replaced, kept as a cross-check of the sn argument
+    theta = np.linspace(0.0, np.pi, 2049)[1:]
+    for g in (0.05, 0.25, 0.5, 0.9):
+        rep = zero_gap(g)
+        unit = np.abs(f_gamma(g, np.exp(1j * theta)))
+        inner = np.abs(f_gamma(g, g * np.exp(1j * theta)))
+        assert unit.min() >= rep.min_unit * (1.0 - 1e-13)
+        assert inner.max() <= rep.max_inner_scaled * (1.0 + 1e-13) / np.sqrt(g)
 
 
 def test_poisson_bound_series():
@@ -332,7 +347,7 @@ def test_u_via_toeplitz_r_validation():
 
 def geometric_grid(h=np.log(2.0), theta=0.0, z=1.0, r=0.95, k=4096):
     p = GeometricParams(h=h, theta=theta)
-    return SymbolGrid.sample(lambda zeta: phi_symbol(p, z, r * zeta), k=k, radius=r)
+    return SymbolGrid.sample(lambda zeta: phi_symbol(p, z, r * zeta), k=k)
 
 
 def test_wh_constant_symbol():

@@ -141,6 +141,11 @@ def test_csv_rejects_bad_rows_and_bytes(tmp_path):
         path.write_text("n,re,im\n" + body)
         with pytest.raises(ValidationError, match="exactly 3 fields"):
             HardyFunction.load_csv(path)
+    # int and float would read 1_0 as 10
+    for body in ("0,1_0,0\n", "0,1,0_0\n", "0_0,1,0\n"):
+        path.write_text("n,re,im\n" + body)
+        with pytest.raises(ValidationError, match="underscores"):
+            HardyFunction.load_csv(path)
     # bad UTF-8, and a field past the csv module's size limit
     for raw in (b"n,re,im\n0,1,0\xff\n", b"n,re,im\n0," + b"1" * 200000 + b",0\n"):
         path.write_bytes(raw)
