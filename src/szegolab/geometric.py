@@ -9,10 +9,16 @@ with gamma = e^(-2h).  The kernel's poles sit on the circles |zeta| =
 gamma^(2l) and its zeros on |zeta| = gamma^(2l+1); invertibility of the
 Toeplitz operator (no zeros on the contour, winding index zero) is the
 certificate that the reconstruction stays bounded past the unit circle.
+
+The kernel, the modulus k' of the zero-gap certificate and its Poisson
+bound are all evaluated in the dual nome e^(-pi^2/a), a = -log gamma
+(Jacobi's imaginary transformation), where each series needs a number of
+terms that stays bounded as gamma -> 1.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -25,7 +31,6 @@ from .inverse import SpectralData
 EPS_POLE = 1e-6   # relative pole-distance guard
 EPS_ZERO = 1e-9   # contour zero guard
 EPS_TRUNC = 1e-13  # smallest/largest singular value floor of a truncated Toeplitz matrix
-F_TOL = 1e-14     # tail tolerance of the truncated kernel series
 WINDING_NODES = (256, 1 << 18)  # first and last node count of the winding refinement
 ELLIPTIC_GRID = (6, 4)  # real x imaginary sample counts of the periodicity check
 DEFAULT_R = 0.95
@@ -72,23 +77,69 @@ def _check_pole_distance(gamma: float, zeta: np.ndarray) -> None:
                            f"relative of pole {pole[i]:.9g}")
 
 
-def f_gamma(gamma: float, zeta):
-    """Two-sided pole series of the geometric kernel, truncated at the F_TOL tail.
-
-    Terms decay like gamma^|l| in both directions; negative-l terms are
-    rewritten as gamma^|l| / (gamma^(2|l|) - zeta) so nothing overflows.
-    """
+def _log_nome(gamma: float) -> float:
+    """a = -log gamma for a nome gamma in (0, 1); the dual nome is e^(-pi^2 / a)."""
     if not (0.0 < gamma < 1.0):
         raise ValidationError(f"gamma must be in (0, 1), got {gamma}")
+    return -math.log(gamma)
+
+
+def _sum_to_eps(terms):
+    """Sum terms up to and including the first whose modulus is below double epsilon.
+
+    Every series here is scaled to be of order one, with terms falling like
+    powers of the dual nome, so this absolute stop is a relative one.
+    """
+    total = 0.0
+    for term in terms:
+        total = total + term
+        if np.all(np.abs(term) < np.finfo(float).eps):
+            return total
+
+
+def f_gamma(gamma: float, zeta):
+    """The geometric kernel, summed in the dual nome.
+
+    With a = -log gamma and c = log(zeta) / 2 on the principal branch,
+
+        f_gamma(zeta) = -(pi / 2a) zeta^(-1/2) sum over integer n of (-1)^n cot(pi (c - i pi n) / a).
+
+    Proof: zeta^(1/2) gamma^l / (1 - zeta gamma^(2l)) = -1 / (2 sinh(c - a l)),
+    so both sides times zeta^(1/2) are functions of c that change sign under
+    c -> c + i pi, are periodic under c -> c + a, and have simple poles at
+    c = a l + i pi n with residue -(-1)^n / 2.  Their difference is therefore
+    a pole-free elliptic function, hence a constant, and since both sides
+    are odd in c the constant is 0.
+
+    With w = i pi log(zeta) / a and p = e^(-2 pi^2 / a), the n = 0 term is
+    cot(pi c / a) = +-i (e + 1) / (e - 1) for e = e^(+-w), the sign chosen
+    so that |e| <= 1, and the n and -n terms together are
+    2i (-1)^n [x_n / (1 - x_n) - y_n / (1 - y_n)] with x_n = p^n e^(-w) and
+    y_n = p^n e^w, both of modulus at most e^(-(2n - 1) pi^2 / a).
+    Nothing overflows: x_1 and y_1 are each one exp of a sum of exponents,
+    so as gamma -> 1 an overflowing e^(+-w) never meets p underflowing to 0.
+    """
+    a = _log_nome(gamma)
     scalar = np.isscalar(zeta) or np.ndim(zeta) == 0
     zarr = np.atleast_1d(np.asarray(zeta, dtype=complex))
+    if not np.all(np.isfinite(zarr)):  # NaN trips too
+        raise ValidationError("zeta must be finite")
     _check_pole_distance(gamma, zarr)
-    order = int(math.ceil(math.log(F_TOL * (1.0 - gamma)) / math.log(gamma))) + 4
-    total = np.zeros_like(zarr)
-    for l in range(order + 1):
-        total += gamma ** l / (1.0 - zarr * gamma ** (2 * l))
-    for l in range(1, order + 1):
-        total += gamma ** l / (gamma ** (2 * l) - zarr)
+    log_zeta = np.log(np.abs(zarr)) + 1j * np.angle(zarr)  # principal branch, cheaper than np.log
+    w = 1j * math.pi * log_zeta / a
+    sign = np.where(w.real > 0, -1.0, 1.0)
+    em1 = np.expm1(sign * w)  # e - 1, exact near the poles where e -> 1
+    log_p = -2.0 * math.pi ** 2 / a
+    p = math.exp(log_p)
+
+    def pair_terms():
+        x, y, alt = np.exp(log_p - w), np.exp(log_p + w), -2j
+        while True:
+            yield alt * (x / (1.0 - x) - y / (1.0 - y))
+            x, y, alt = x * p, y * p, -alt
+
+    total = sign * 1j * (em1 + 2.0) / em1 + _sum_to_eps(pair_terms())
+    total *= -(math.pi / (2.0 * a)) * np.exp(-0.5 * log_zeta)
     return complex(total[0]) if scalar else total
 
 
@@ -163,6 +214,8 @@ def winding_index(fn, radius: float = 1.0) -> int:
     node counts until every increment is below pi/2 and two successive
     refinements give the same integer.
     """
+    if not 0.0 < radius < math.inf:  # NaN trips too
+        raise ValidationError(f"radius must be positive and finite, got {radius}")
     k, k_max = WINDING_NODES
     prev = None
     while k <= k_max:
@@ -190,16 +243,15 @@ def index_profile(gamma: float, radii) -> list[tuple[float, int | None]]:
 
 
 def poisson_gap_bound(gamma: float) -> float:
-    """(pi/|log gamma|) sum over n >= 1 of 1/cosh(pi^2 n / |log gamma|), as 2 fhat(pi, 2 pi n)."""
-    total = 0.0
-    n = 1
-    while True:
-        term = 2.0 * fhat_closed_form(gamma, math.pi, 2.0 * math.pi * n)
-        total += term
-        if term < 1e-18 * max(total, 1e-300) or n > 10000:
-            break
-        n += 1
-    return total
+    """(pi/a) sum over n >= 1 of 1/cosh(pi^2 n / a), a = -log gamma, in the dual nome.
+
+    1/cosh(pi^2 n / a) = 2 qd^n / (1 + qd^(2n)) with qd = e^(-pi^2 / a); qd is
+    factored out so that the summed terms start at order one.
+    """
+    a = _log_nome(gamma)
+    qd = math.exp(-math.pi ** 2 / a)
+    return (2.0 * math.pi * qd / a) * _sum_to_eps(
+        qd ** (n - 1) / (1.0 + qd ** (2 * n)) for n in itertools.count(1))
 
 
 @dataclass(frozen=True)
@@ -230,26 +282,26 @@ def zero_gap(gamma: float) -> ZeroGapReport:
     and the inner maximum is |F(-gamma)|, for every gamma in (0, 1).  Their
     ratio sqrt(gamma) |F(-gamma)| / |F(-1)| is the modulus k, so
 
-        gap = |F(-1)| (1 - k) = |F(-1)| k'^2 / (1 + k),
-        log k' = 4 sum over n >= 1 of log((1 - x_n) / (1 + x_n)) = -8 sum atanh(x_n),
+        gap = |F(-1)| (1 - k) = |F(-1)| k'^2 / (1 + k).
 
-    with x_n = gamma^(2n-1).  The gap is formed in log space, so no two
-    nearly equal numbers are subtracted; it underflows to 0.0 only where
-    the true gap is below the double range, from gamma of about 0.987 on.
-    Positivity of the gap is the no-zeros certificate, and poisson_bound
-    is its closed-form lower bound.
+    Jacobi's imaginary transformation makes k' the modulus of the dual nome
+    qd = e^(-pi^2 / a), a = -log gamma, so k'^2 = 16 qd prod over n >= 1 of
+    ((1 + qd^(2n)) / (1 + qd^(2n-1)))^8, that is
+
+        log k'^2 = log 16 - pi^2 / a + 8 sum over n >= 1 of [log1p(qd^(2n)) - log1p(qd^(2n-1))].
+
+    The gap is formed in log space, so no two nearly equal numbers are
+    subtracted; it underflows to 0.0 only where the true gap is below the
+    double range, from gamma of about 0.987 on.  Positivity of the gap is
+    the no-zeros certificate, and poisson_bound is its closed-form lower bound.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValidationError(f"gamma must be in (0, 1), got {gamma}")
+    a = _log_nome(gamma)
     mn = abs(f_gamma(gamma, -1.0))
     scaled = math.sqrt(gamma) * abs(f_gamma(gamma, -gamma))
-    # log k'^2 = -16 sum atanh(x_n); the terms after x_n add less than x_n / (1 - gamma^2)
-    tail = 16.0 / (1.0 - gamma * gamma)
-    terms, n = [], 1
-    while tail * gamma ** (2 * n - 1) >= np.finfo(float).eps:
-        terms.append(math.atanh(gamma ** (2 * n - 1)))
-        n += 1
-    gap = math.exp(math.log(mn) - 16.0 * math.fsum(terms) - math.log1p(scaled / mn))
+    qd = math.exp(-math.pi ** 2 / a)
+    log_kp2 = math.log(16.0) - math.pi ** 2 / a + 8.0 * _sum_to_eps(
+        math.log1p(qd ** (2 * n)) - math.log1p(qd ** (2 * n - 1)) for n in itertools.count(1))
+    gap = math.exp(math.log(mn) + log_kp2 - math.log1p(scaled / mn))
     return ZeroGapReport(gamma=gamma, min_unit=mn, max_inner_scaled=scaled,
                          gap=gap, poisson_bound=poisson_gap_bound(gamma))
 
@@ -260,11 +312,9 @@ def fhat_closed_form(gamma: float, theta_angle: float, xi: float) -> float:
     Evaluates (pi / 2|log gamma|) cosh((pi - theta) xi / 2 log gamma) /
     cosh(pi xi / 2 log gamma) in overflow-safe exponential form.
     """
-    if not (0.0 < gamma < 1.0):
-        raise ValidationError(f"gamma must be in (0, 1), got {gamma}")
+    lg = _log_nome(gamma)
     if not (0.0 < theta_angle < 2.0 * math.pi):
         raise ValidationError(f"theta_angle must be in (0, 2 pi), got {theta_angle}")
-    lg = abs(math.log(gamma))
     a = abs((math.pi - theta_angle) * xi / (2.0 * lg))
     b = abs(math.pi * xi / (2.0 * lg))
     # cosh(a)/cosh(b) = e^(a-b) (1 + e^(-2a)) / (1 + e^(-2b))

@@ -254,6 +254,7 @@ def _cap_address_space():
     (["certify", "--data", "{tmp}/text.json"], 2, "'1.0' is not a number"),
     (["spectrum", "--coeffs", "{tmp}/four_fields.csv", "--M", "4"], 2, "need exactly 3 fields"),
     (["spectrum", "--coeffs", "{tmp}/underscore.csv", "--M", "2"], 2, "underscores are not accepted"),
+    (["sweep", "--task", "zero-gap", "--grid", "0.999,0.9999", "--out", "{tmp}/z.csv"], 0, "rows=2"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():

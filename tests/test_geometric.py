@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -56,13 +58,51 @@ def test_functional_equations():
 
 
 def test_dual_truncation_agreement():
-    # the truncated series against the same series summed term by term far past its order
+    # the dual-nome kernel against the pole series summed term by term to 2000 terms
     l = np.arange(2000)
-    for g in (0.3, 0.9):
-        for zeta in (0.5 + 0.2j, 1.3 * np.exp(2j)):
+    angles = np.exp(1j * np.array([0.4, 2.0, -2.9]))
+    zetas = [r * e for r in (0.02, 0.3, 1.3, 5.0) for e in angles]
+    zetas += [0.5 + 0.2j, 1.3 * np.exp(2j)]
+    zetas += [complex(-0.5, 0.0), complex(-0.5, -0.0), -1 + 1e-12j, -1 - 1e-12j]  # both sides of the cut
+    for g in (0.01, 0.09, 0.25, 0.3, 0.5, 0.9):
+        for zeta in zetas:
             full = np.sum(g ** l / (1.0 - zeta * g ** (2 * l)))
             full += np.sum(g ** l[1:] / (g ** (2 * l[1:]) - zeta))
             assert abs(f_gamma(g, zeta) - full) < 1e-12
+
+
+def test_kernel_matches_mpmath():
+    zetas = (-1.0, np.exp(0.3j), np.exp(2.5j), 0.999 * np.exp(1j))
+    for g in (0.5, 0.9, 0.99):
+        for zeta in zetas + (-g,):
+            want = complex(_kernel_mpmath(g, zeta))
+            assert abs(f_gamma(g, zeta) - want) <= 1e-14 * abs(want)
+    # gamma = 0.999: the direct sum needs 92 000 terms a side, about 7 s a point,
+    # so these are _kernel_mpmath's values printed to 17 digits, at the same zeta
+    pinned = {
+        -1.0: 1570.0107976663125,
+        -0.999: 1570.7963923102529,
+        0.955336489125606 + 0.29552020666133955j: 234.61948156663959 + 1552.3812687797455j,
+        -0.8011436155469337 + 0.5984721441039565j: 1489.9160992075259 + 495.05951370622187j,
+        0.5397620035622717 + 0.8406295138230886j: 753.07990642088188 + 1378.5035221717867j,
+    }
+    for zeta, want in pinned.items():
+        assert abs(f_gamma(0.999, zeta) - want) <= 1e-14 * abs(want)
+
+
+def test_kernel_near_one_is_fast():
+    # the dual-nome sums need a bounded number of terms as gamma -> 1
+    t0 = time.perf_counter()
+    rep = zero_gap(0.9999)
+    vals = f_gamma(0.9999, 0.9995 * np.exp(2j * np.pi * np.arange(512) / 512))
+    assert time.perf_counter() - t0 < 1.0
+    assert np.all(np.isfinite(vals)) and rep.gap >= 0.0
+
+
+def test_kernel_rejects_non_finite_zeta():
+    for zeta in (np.nan, np.inf, complex(1.0, np.nan), complex(-np.inf, 0.0), np.array([0.5, np.nan])):
+        with pytest.raises(ValidationError, match="zeta must be finite"):
+            f_gamma(0.5, zeta)
 
 
 def test_near_pole_guard():
@@ -120,6 +160,14 @@ def test_winding_grid_input():
     assert winding_index(lambda zz: zz ** 40) == 40  # 40 turns on the first 256 nodes: fine
 
 
+def test_winding_rejects_bad_radius():
+    for r in (np.inf, np.nan, 0.0, -1.0):
+        with pytest.raises(ValidationError, match="radius must be positive and finite"):
+            winding_index(lambda zz: zz, radius=r)
+    with pytest.raises(ValidationError):
+        index_profile(0.5, [np.nan])
+
+
 def test_winding_zero_on_contour():
     with pytest.raises(ZeroOnContour):
         winding_index(lambda zz: zz - 1.0)
@@ -174,15 +222,20 @@ def _kernel_mpmath(gamma, zeta):
     with mp.workdps(40):
         g, z = mp.mpf(gamma), mp.mpc(zeta)
         n = int(mp.ceil(mp.log(mp.mpf("1e-40")) / mp.log(g)))
-        return abs(mp.fsum(g ** l / (1 - z * g ** (2 * l)) for l in range(-n, n + 1)))
+        total, gl, g2l = 1 / (1 - z), mp.mpf(1), mp.mpf(1)
+        for _ in range(n):  # the terms l and -l
+            gl *= g
+            g2l *= g * g
+            total += gl / (1 - z * g2l) + gl / (g2l - z)
+        return total
 
 
 def test_zero_gap_extrema_match_mpmath():
     # both extrema sit on the negative real axis: |F(-1)| and sqrt(gamma) |F(-gamma)|
     for g in (0.05, 0.25, 0.5, 0.9):
         rep = zero_gap(g)
-        want_min = float(_kernel_mpmath(g, -1))
-        want_max = float(_kernel_mpmath(g, -g)) * np.sqrt(g)
+        want_min = float(abs(_kernel_mpmath(g, -1)))
+        want_max = float(abs(_kernel_mpmath(g, -g))) * np.sqrt(g)
         assert abs(rep.min_unit - want_min) <= 1e-14 * want_min
         assert abs(rep.max_inner_scaled - want_max) <= 1e-14 * want_max
 
@@ -190,7 +243,7 @@ def test_zero_gap_extrema_match_mpmath():
 def _gap_mpmath(gamma):
     """|F(-1)| k'^2 / (1 + k), with k' from its theta product at 60 digits and k = sqrt(1 - k'^2)."""
     mp = pytest.importorskip("mpmath")
-    f_minus_one = _kernel_mpmath(gamma, -1)
+    f_minus_one = abs(_kernel_mpmath(gamma, -1))
     with mp.workdps(60):
         g = mp.mpf(gamma)
         n = int(mp.ceil(mp.log(mp.mpf("1e-62")) / mp.log(g)))
