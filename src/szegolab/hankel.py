@@ -2,8 +2,8 @@
 
 The two matrices built from a coefficient vector are (u_hat(n+p)) and the
 shifted (u_hat(n+p+1)): the first and last m rows of one (m+1) x m array H.
-Their singular values are extracted from the two diagonal blocks of the one
-Hermitian Gram matrix H H*, which is also how the rank-one identity is checked.
+Their singular values come from one SVD each of the two row ranges of the leading
+block of H that the coefficients occupy; H H* serves the rank-one identity only.
 """
 
 from __future__ import annotations
@@ -16,30 +16,30 @@ from .errors import InsufficientTruncation, ValidationError
 from .fileio import write_csv
 from .hardy import HardyFunction, sobolev_norm
 
-TAU_RANK = 1e-12   # relative eigenvalue cutoff for numerical rank
+TAU_RANK = 1e-6    # relative singular-value cutoff for numerical rank
 TAU_EIG = 1e-9     # distinctness / interlacing slack, relative to the largest value
 TAIL_RTOL = 1e-10  # largest tolerated tail_mass / total trace
 
 
 def _hankel_rows(u: HardyFunction, m: int) -> np.ndarray:
-    """(m+1) x m array H[n, p] = u_hat(n + p), zero past the support; rows 0..m-1
-    are the plain matrix and rows 1..m the shifted one (largest index read: 2m - 1)."""
+    """(m+1) x m read-only view H[n, p] = u_hat(n + p) of u_hat(0..2m-1), zero past the
+    support; rows 0..m-1 are the plain matrix and rows 1..m the shifted one."""
     if m < 1:
         raise ValidationError(f"matrix size must be >= 1, got {m}")
     c = np.zeros(2 * m, dtype=complex)
     take = min(len(u), 2 * m)
     c[:take] = u.coeffs[:take]
-    return c[np.arange(m + 1)[:, None] + np.arange(m)[None, :]]
+    return np.lib.stride_tricks.sliding_window_view(c, m)
 
 
 def hankel_matrix(u: HardyFunction, m: int) -> np.ndarray:
     """A[n, p] = u_hat(n + p), entries beyond the coefficient support are 0."""
-    return _hankel_rows(u, m)[:-1]
+    return _hankel_rows(u, m)[:-1].copy()
 
 
 def shifted_hankel_matrix(u: HardyFunction, m: int) -> np.ndarray:
     """A[n, p] = u_hat(n + p + 1)."""
-    return _hankel_rows(u, m)[1:]
+    return _hankel_rows(u, m)[1:].copy()
 
 
 def tail_mass(u: HardyFunction, m: int) -> float:
@@ -98,19 +98,20 @@ class HankelSpectrum:
         write_csv(path, ["index", "kind", "value"], rows)
 
 
-def _gram_singular_values(g: np.ndarray) -> np.ndarray:
-    lam = np.linalg.eigvalsh(g)[::-1]
-    lam = np.clip(lam, 0.0, None)
-    if lam.size == 0 or lam[0] == 0.0:
-        return np.array([])
-    keep = lam > TAU_RANK * lam[0]
-    return _merge_close(np.sqrt(lam[keep]), TAU_EIG)
+def _singular_values(a: np.ndarray) -> np.ndarray:
+    s = np.linalg.svd(a, compute_uv=False)
+    return _merge_close(s[s > TAU_RANK * s[0]], TAU_EIG)
 
 
 def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     """Descending singular-value lists of the m x m plain and shifted Hankel matrices.
 
-    rho and sigma come from the blocks G[:-1, :-1] and G[1:, 1:] of one G = H H*.
+    rho and sigma are those of rows 0..k-1 and 1..k of the leading (k+1) x k block of
+    H, where k <= m is the least size whose dropped coefficients u_hat(k..2m-1) sum
+    to at most eps * ||u_hat(0..m-1)||_2. No value moves by more than eps * s_1: the
+    dropped entries lie on antidiagonals of index >= k, each one coefficient times a
+    partial permutation, so their operator norm is at most that sum (Weyl), while
+    s_1 >= ||H e_0|| = ||u_hat(0..m-1)||_2.
     The caller owns the truncation: if the coefficient vector extends past m,
     the discarded trace must stay below TAIL_RTOL of the total.
     """
@@ -120,10 +121,11 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     if total > 0 and tm > TAIL_RTOL * total:
         raise InsufficientTruncation(
             f"tail mass {tm:.3e} exceeds {TAIL_RTOL:g} of total trace {total:.3e}; increase m={m}")
-    g = h @ h.conj().T
-    rho = _gram_singular_values(g[:-1, :-1])
-    sigma = _gram_singular_values(g[1:, 1:])
-    return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=tm)
+    a = np.abs(np.concatenate([h[0], h[-1]]))  # |u_hat(0..2m-1)|
+    dropped = np.cumsum(a[::-1])[::-1]  # dropped[k] = sum of a[k:]
+    k = min(m, max(1, np.count_nonzero(dropped > np.finfo(float).eps * np.hypot.reduce(a[:m]))))
+    h = h[:k + 1, :k]
+    return HankelSpectrum(rho=_singular_values(h[:-1]), sigma=_singular_values(h[1:]), tail_mass=tm)
 
 
 def check_trace_identity(u: HardyFunction, spectrum: HankelSpectrum) -> float:

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from szegolab import (HardyFunction, InsufficientTruncation, SpectralData, Valid
                       check_rank_one_identity, check_trace_identity, hankel_matrix,
                       pair_singular_values, reconstruct_function, shifted_hankel_matrix,
                       sobolev_norm, sum_rule_residual, tail_mass)
+from szegolab.hankel import TAU_RANK
 
 
 def geometric_function(b=0.75, p=0.5, m=64):
@@ -88,15 +91,47 @@ def test_interlacing_random_draws():
         assert spec.interlacing_ok()
 
 
-@pytest.mark.parametrize("scale", [1e-9, 1e-12])
+@pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-160, 1e-300])
 def test_spectrum_commutes_with_scaling(scale):
-    # merge and interlacing tolerances are relative, so tiny data keeps its four values
+    # the cut, merge and interlacing tolerances are relative and the SVD squares nothing,
+    # so tiny data keeps its four values down to the bottom of the double range
     s = scale * np.array([1.0, 0.3, 0.09, 0.027])
     spec = pair_singular_values(reconstruct_function(SpectralData(s, np.zeros(4)), 128), 128)
     got = spec.merged()
     assert got.size == 4
     assert np.all(np.abs(got - s) <= 1e-9 * s)
     assert spec.interlacing_ok()
+
+
+@pytest.mark.parametrize("r", [0.2, 0.1])
+@pytest.mark.parametrize("spread", [False, True])
+def test_small_values_relative_accuracy(r, spread):
+    # every value, however small against s_1, comes back to 1e-12 of itself
+    s = r ** np.arange(6.0)
+    psi = np.linspace(0.0, 2 * np.pi, 6, endpoint=False) + 0.3 if spread else np.zeros(6)
+    got = pair_singular_values(reconstruct_function(SpectralData(s, psi), 128), 128).merged()
+    assert got.size == 6
+    assert np.all(np.abs(got - s) <= 1e-12 * s)
+
+
+@pytest.mark.parametrize("s", [0.02 ** np.arange(6.0), np.array([1.0, 0.7, 0.5, 0.36, 0.25, 0.18])])
+def test_trimmed_block_matches_the_full_svd(s):
+    # dropping the coefficients that sum below eps * ||u_hat|| moves no value by more than eps * s_1
+    u = reconstruct_function(SpectralData(s, np.random.default_rng(5).uniform(0, 2 * np.pi, 6)), 256)
+    spec = pair_singular_values(u, 256)
+    for got, full in ((spec.rho, hankel_matrix(u, 256)), (spec.sigma, shifted_hankel_matrix(u, 256))):
+        ref = np.linalg.svd(full, compute_uv=False)
+        ref = ref[ref > TAU_RANK * ref[0]]
+        assert got.size == ref.size
+        assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * spec.rho[0]
+
+
+def test_cost_follows_the_occupied_block():
+    t0 = time.perf_counter()
+    spec = pair_singular_values(HardyFunction(np.array([1.0, 0.5])), 2048)
+    assert time.perf_counter() - t0 < 1.0
+    assert np.abs(spec.rho - [(1 + np.sqrt(2)) / 2, (np.sqrt(2) - 1) / 2]).max() < 1e-14
+    assert np.abs(spec.sigma - [0.5]).max() < 1e-15
 
 
 def test_tail_guard():
