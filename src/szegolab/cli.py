@@ -174,24 +174,15 @@ def cmd_sweep(args) -> None:
     if args.n < 1:
         raise ValidationError(f"--N must be >= 1, got {args.n}")
     row_fn, columns = SWEEP_TASKS[args.task]
-
-    def run_one(value: float) -> tuple[dict | None, str]:
-        try:
-            return row_fn(value, args.n), ""
-        except SzegoLabError as exc:
-            return None, f"{type(exc).__name__}: {exc}"
-
-    results = list(map(run_one, grid))  # one entry per grid position
-
     rows = []
-    for i in sorted(range(len(grid)), key=grid.__getitem__):  # by value, ties in grid order
-        v = grid[i]
-        row_dict, err = results[i]
-        if row_dict is None:
-            rows.append([fmt(v)] + [""] * (len(columns) - 1) + [err])
-        else:
-            rows.append([fmt(float(row_dict[c])) if isinstance(row_dict[c], (int, float)) else str(row_dict[c])
-                         for c in columns] + [err])
+    for v in sorted(grid):  # stable, so repeated values keep their grid order
+        try:
+            row_dict = row_fn(v, args.n)
+        except SzegoLabError as exc:
+            rows.append([fmt(v)] + [""] * (len(columns) - 1) + [f"{type(exc).__name__}: {exc}"])
+            continue
+        rows.append([fmt(float(row_dict[c])) if isinstance(row_dict[c], (int, float)) else str(row_dict[c])
+                     for c in columns] + [""])
     write_csv(args.out, columns + ["error"], rows)
     _print_kv([("rows", len(rows)), ("out", args.out)])
 

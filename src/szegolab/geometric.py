@@ -62,21 +62,6 @@ def geometric_spectral_data(p: GeometricParams, n: int) -> SpectralData:
     return SpectralData(np.exp(-r * p.h), r * p.theta * p.h)
 
 
-def _check_pole_distance(gamma: float, zeta: np.ndarray) -> None:
-    mods = np.abs(np.atleast_1d(zeta))
-    if np.any(mods == 0):
-        raise NearPole("zeta = 0 is outside the kernel domain")
-    # only the two lattice circles bracketing |zeta| can host the nearest pole
-    l0 = np.log(mods) / (2.0 * math.log(gamma))
-    for lq in (np.floor(l0), np.ceil(l0)):
-        pole = gamma ** (2.0 * lq)
-        rel = np.abs(np.atleast_1d(zeta) - pole) / pole
-        if np.any(rel < EPS_POLE):
-            i = int(np.argmin(rel))
-            raise NearPole(f"zeta = {np.atleast_1d(zeta)[i]:.9g} within {EPS_POLE:g} "
-                           f"relative of pole {pole[i]:.9g}")
-
-
 def _log_nome(gamma: float) -> float:
     """a = -log gamma for a nome gamma in (0, 1); the dual nome is e^(-pi^2 / a)."""
     if not (0.0 < gamma < 1.0):
@@ -124,8 +109,16 @@ def f_gamma(gamma: float, zeta):
     zarr = np.atleast_1d(np.asarray(zeta, dtype=complex))
     if not np.all(np.isfinite(zarr)):  # NaN trips too
         raise ValidationError("zeta must be finite")
-    _check_pole_distance(gamma, zarr)
+    if np.any(zarr == 0):
+        raise NearPole("zeta = 0 is outside the kernel domain")
     log_zeta = np.log(np.abs(zarr)) + 1j * np.angle(zarr)  # principal branch, cheaper than np.log
+    # the pole gamma^(2l) nearest in log distance; |expm1| is exactly |zeta - pole| / pole
+    ell = np.rint(-log_zeta.real / (2.0 * a))
+    rel = np.abs(np.expm1(log_zeta + 2.0 * a * ell))
+    if np.any(rel < EPS_POLE):
+        i = int(np.argmin(rel))
+        raise NearPole(f"zeta = {zarr[i]:.9g} within {EPS_POLE:g} "
+                       f"relative of pole {gamma ** (2.0 * ell[i]):.9g}")
     w = 1j * math.pi * log_zeta / a
     sign = np.where(w.real > 0, -1.0, 1.0)
     em1 = np.expm1(sign * w)  # e - 1, exact near the poles where e -> 1
@@ -157,19 +150,20 @@ def phi_symbol(p: GeometricParams, z: complex, zeta):
     return f_gamma(p.gamma, zeta) - z * om * f_gamma(p.gamma, np.asarray(zeta, dtype=complex) * om ** 2)
 
 
-def phi_laurent_coeff(p: GeometricParams, z: complex, ell: int, r: float = 1.0) -> complex:
-    """Laurent coefficient of zeta -> Phi(z, r zeta) at index ell.
+def phi_laurent_coeff(p: GeometricParams, z: complex, ell, r: float = 1.0):
+    """Laurent coefficient of zeta -> Phi(z, r zeta) at index ell (an int or an int array).
 
     c_ell = r^ell (1 - z omega^(2 ell + 1)) / (1 - gamma^(2 ell + 1)); the
-    negative-index form is rebalanced by gamma^(2|ell|-1) so that only
-    decaying powers appear.
+    negative-index form is rebalanced by gamma^(2|ell|-1) so that both
+    branches raise gamma and omega only to e = 2|ell| +- 1 >= 1.
     """
-    om = p.omega
-    gam = p.gamma
-    if ell >= 0:
-        return r ** ell * (1.0 - z * om ** (2 * ell + 1)) / (1.0 - gam ** (2 * ell + 1))
-    m = -ell
-    return r ** ell * (gam ** (2 * m - 1) - z * np.conj(om) ** (2 * m - 1)) / (gam ** (2 * m - 1) - 1.0)
+    ell = np.asarray(ell)
+    neg = ell < 0
+    e = 2 * np.abs(ell) + np.where(neg, -1, 1)
+    ge = p.gamma ** e
+    num = np.where(neg, ge - z * np.conj(p.omega) ** e, 1.0 - z * p.omega ** e)
+    c = float(r) ** ell * num / np.where(neg, ge - 1.0, 1.0 - ge)
+    return complex(c) if c.ndim == 0 else c
 
 
 # --- contour sampling and winding ---------------------------------------
@@ -325,20 +319,22 @@ def fhat_closed_form(gamma: float, theta_angle: float, xi: float) -> float:
 # --- truncated Toeplitz machinery ----------------------------------------
 
 
-def toeplitz_truncated(coeff_fn, n: int) -> np.ndarray:
-    """N x N matrix A[j, k] = c_(j-k) from a Laurent-coefficient callback."""
+def toeplitz_truncated(c, n: int) -> np.ndarray:
+    """N x N read-only A[j, k] = c_(j-k): the column-reversed sliding window of the
+    2N - 1 coefficients c_(-(N-1)) .. c_(N-1), like hankel._hankel_rows."""
     if n < 1:
         raise ValidationError(f"matrix size must be >= 1, got {n}")
-    c = np.array([coeff_fn(m) for m in range(-(n - 1), n)], dtype=complex)
-    jj, kk = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return c[(jj - kk) + n - 1]
+    c = np.array(c, dtype=complex)
+    if c.shape != (2 * n - 1,):
+        raise ValidationError(f"need 2N - 1 = {2 * n - 1} coefficients, got shape {c.shape}")
+    return np.lib.stride_tricks.sliding_window_view(c, n)[:, ::-1]
 
 
 def _geometric_toeplitz(p: GeometricParams, z: complex, r: float, n: int) -> np.ndarray:
     """T[j, k] = r^(k-j) (1 - z omega^(2(k-j)+1)) / (1 - gamma^(2(k-j)+1))."""
     if not (p.gamma < r < 1.0):
         raise ValidationError(f"need gamma = {p.gamma:.6g} < r < 1, got r = {r}")
-    return toeplitz_truncated(lambda m: phi_laurent_coeff(p, z, -m, r), n)
+    return toeplitz_truncated(phi_laurent_coeff(p, z, np.arange(n - 1, -n, -1), r), n)
 
 
 def u_via_toeplitz(p: GeometricParams, z: complex, r: float = DEFAULT_R, n: int = 20) -> complex:
@@ -427,7 +423,7 @@ def wiener_hopf_inverse_residual(grid: SymbolGrid, n: int) -> float:
 
     def toeplitz_of(values):
         ch = np.fft.fft(values) / k
-        return toeplitz_truncated(lambda m: ch[m % k], n)
+        return toeplitz_truncated(ch[np.arange(-(n - 1), n) % k], n)
 
     t_phi = toeplitz_of(grid.values)
     t_p = toeplitz_of(1.0 / f.plus_values)

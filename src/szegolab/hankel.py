@@ -113,14 +113,18 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     partial permutation, so their operator norm is at most that sum (Weyl), while
     s_1 >= ||H e_0|| = ||u_hat(0..m-1)||_2.
     The caller owns the truncation: if the coefficient vector extends past m,
-    the discarded trace must stay below TAIL_RTOL of the total.
+    the discarded trace must stay below TAIL_RTOL of the total; the ratio is formed
+    from the coefficients divided by max |u_hat|, so it holds at any scale.
     """
     h = _hankel_rows(u, m)
     tm = tail_mass(u, m)
-    total = sobolev_norm(u, 0.5) ** 2
-    if total > 0 and tm > TAIL_RTOL * total:
-        raise InsufficientTruncation(
-            f"tail mass {tm:.3e} exceeds {TAIL_RTOL:g} of total trace {total:.3e}; increase m={m}")
+    scale = np.abs(u.coeffs).max()
+    if scale > 0:
+        v = HardyFunction(u.coeffs / scale)
+        ratio = tail_mass(v, m) / sobolev_norm(v, 0.5) ** 2
+        if not ratio <= TAIL_RTOL:
+            raise InsufficientTruncation(
+                f"tail mass {tm:.3e} is {ratio:.3e} of the total trace, above {TAIL_RTOL:g}; increase m={m}")
     a = np.abs(np.concatenate([h[0], h[-1]]))  # |u_hat(0..2m-1)|
     dropped = np.cumsum(a[::-1])[::-1]  # dropped[k] = sum of a[k:]
     k = min(m, max(1, np.count_nonzero(dropped > np.finfo(float).eps * np.hypot.reduce(a[:m]))))

@@ -13,7 +13,7 @@ import numpy as np
 from .errors import NegativeCoefficients, ValidationError
 from .fileio import read_csv, write_csv
 
-TAU_POS = 1e-10  # absolute tolerance for "nonnegative real coefficient" checks
+TAU_POS = 1e-9  # "nonnegative real coefficient" tolerance, relative to max |u_hat|
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def sobolev_norm(u: HardyFunction, s: float) -> float:
     return float(np.sqrt(np.sum((1.0 + n) ** (2.0 * s) * np.abs(u.coeffs) ** 2)))
 
 
-def weighted_first_moment(u: HardyFunction, tau_pos: float = TAU_POS) -> float:
+def weighted_first_moment(u: HardyFunction) -> float:
     """Sum of n * u_hat(n), defined for nonnegative real coefficients.
 
     Equals u'(1) when the coefficient positivity holds, which is how the
@@ -83,9 +83,10 @@ def weighted_first_moment(u: HardyFunction, tau_pos: float = TAU_POS) -> float:
     """
     re = u.coeffs.real
     im = u.coeffs.imag
-    if re.min() < -tau_pos or np.abs(im).max() > tau_pos:
+    tol = TAU_POS * np.abs(u.coeffs).max()
+    if re.min() < -tol or np.abs(im).max() > tol:
         n_bad = int(np.argmax(np.maximum(-re, np.abs(im))))
         raise NegativeCoefficients(
-            f"coefficient {n_bad} = {u.coeffs[n_bad]:.3e} violates nonnegativity within {tau_pos:g}")
+            f"coefficient {n_bad} = {u.coeffs[n_bad]:.3e} violates nonnegativity within {tol:.3g}")
     n = np.arange(len(u), dtype=float)
     return float(np.sum(n * re))

@@ -48,10 +48,11 @@ class SpectralData:
             raise ValidationError("spectral data must be finite")
         if s[-1] <= 0:
             raise ValidationError(f"all s_r must be positive, got s_{s.size} = {s[-1]}")
-        for r in range(s.size - 1):
-            if not s[r] > s[r + 1]:
-                raise ValidationError(f"strict decrease violated at r={r + 1}: "
-                                      f"s_{r + 1}={s[r]:.17g} <= s_{r + 2}={s[r + 1]:.17g}")
+        bad = np.flatnonzero(~(s[:-1] > s[1:]))
+        if bad.size:
+            r = int(bad[0])
+            raise ValidationError(f"strict decrease violated at r={r + 1}: "
+                                  f"s_{r + 1}={s[r]:.17g} <= s_{r + 2}={s[r + 1]:.17g}")
         s = s.copy(); s.flags.writeable = False
         psi = psi.copy(); psi.flags.writeable = False
         object.__setattr__(self, "s", s)

@@ -99,7 +99,7 @@ def test_criterion_2_first_moment_formula():
                 if m * abs(u.coeffs[-1]) < 1e-12 * closed or m >= (1 << 15):
                     break
                 m *= 2
-            moment = weighted_first_moment(u, tau_pos=1e-9 * max(1.0, float(u.coeffs.real[0])))
+            moment = weighted_first_moment(u)
             worst = max(worst, abs(closed - moment) / closed)
         print(f"[acceptance] 2: worst relative moment mismatch {worst:.3e}")
         assert worst <= 1e-8

@@ -112,6 +112,18 @@ def test_near_pole_guard():
         f_gamma(0.5, 0.25 * (1 + 1e-8))
 
 
+def test_near_pole_guard_at_threshold():
+    # zeta = gamma^(2l) (1 + d e^(i phi)) sits at relative distance d from the pole
+    phases = np.exp(1j * np.array([0.3, 1.7, 2.9, -2.2]))
+    for gamma in (1e-6, 0.09, 0.5, 0.9, 0.999):
+        for ell in (-3, -1, 0, 1, 2, 5):
+            pole = gamma ** (2 * ell)
+            assert np.all(np.isfinite(f_gamma(gamma, pole * (1.0 + 1.1e-6 * phases))))
+            for zz in pole * (1.0 + 0.9e-6 * phases):
+                with pytest.raises(NearPole, match="relative of pole"):
+                    f_gamma(gamma, zz)
+
+
 # --- the symbol ------------------------------------------------------------------
 
 def test_symbol_at_z0_is_kernel():
@@ -323,15 +335,24 @@ def test_fhat_matches_quadrature():
 # --- truncated Toeplitz -------------------------------------------------------------------
 
 def test_toeplitz_constant_symbol():
-    a = toeplitz_truncated(lambda m: 1.0 if m == 0 else 0.0, 4)
+    a = toeplitz_truncated(1.0 * (np.arange(-3, 4) == 0), 4)
     assert np.array_equal(a, np.eye(4))
 
 
 def test_toeplitz_shift_symbol():
-    a = toeplitz_truncated(lambda m: 1.0 if m == 1 else 0.0, 4)
+    a = toeplitz_truncated(1.0 * (np.arange(-3, 4) == 1), 4)
     assert np.array_equal(a, np.diag(np.ones(3), -1))
     # index-1 symbol: truncations are nilpotent, hence singular
     assert np.linalg.svd(a, compute_uv=False)[-1] < 1e-13
+
+
+def test_toeplitz_entries_and_length():
+    c = np.arange(-4, 5) * (1.0 + 0.5j)  # c_m = m (1 + i/2), stored from m = -4
+    jk = np.subtract.outer(np.arange(5), np.arange(5))
+    assert np.array_equal(toeplitz_truncated(c, 5), jk * (1.0 + 0.5j))
+    for bad in (c[:-1], np.append(c, 0.0), c.reshape(3, 3)):
+        with pytest.raises(ValidationError, match="2N - 1 = 9"):
+            toeplitz_truncated(bad, 5)
 
 
 def test_geometric_toeplitz_entries():
@@ -346,7 +367,7 @@ def test_geometric_toeplitz_entries():
 
 def test_stability_constant_symbol():
     # symbol identically 1 corresponds to h -> infinity limits; emulate directly
-    a = toeplitz_truncated(lambda m: 1.0 if m == 0 else 0.0, 8)
+    a = toeplitz_truncated(1.0 * (np.arange(-7, 8) == 0), 8)
     assert abs(1.0 / np.linalg.svd(a, compute_uv=False)[-1] - 1.0) < 1e-14
 
 

@@ -137,8 +137,10 @@ def test_cost_follows_the_occupied_block():
 def test_tail_guard():
     u = geometric_function(m=64)
     assert tail_mass(u, 64) == 0.0
-    with pytest.raises(InsufficientTruncation):
-        pair_singular_values(u, 4)
+    # the squared coefficients underflow at 1e-300; the guard must trip all the same
+    for scale in (1.0, 1e-160, 1e-300):
+        with pytest.raises(InsufficientTruncation):
+            pair_singular_values(geometric_function(b=0.75 * scale, m=64), 4)
     # a size below 1 is invalid input (exit 2), not a tripped tail guard (exit 3)
     for m in (0, -3):
         with pytest.raises(ValidationError, match="must be >= 1"):

@@ -35,6 +35,9 @@ def test_data_validation():
         SpectralData(np.array([1.0, 0.5, 0.25]), np.zeros(3))
     with pytest.raises(ValidationError, match="strict decrease violated at r=1"):
         SpectralData(np.array([0.5, 0.5]), np.zeros(2))
+    # r = 2 and r = 4 both violate; the first is named
+    with pytest.raises(ValidationError, match="strict decrease violated at r=2: s_2=0.9"):
+        SpectralData(np.array([1.0, 0.9, 0.95, 0.2, 0.3, 0.1]), np.zeros(6))
     with pytest.raises(ValidationError, match="positive"):
         SpectralData(np.array([1.0, -0.5]), np.zeros(2))
     for m in (0, -1):
@@ -478,7 +481,7 @@ def test_c1_closed_form_matches_moment():
             if tail < 1e-12 * closed or m >= 1 << 15:
                 break
             m *= 2
-        moment = weighted_first_moment(u, tau_pos=1e-9 * max(1.0, float(u.coeffs.real[0])))
+        moment = weighted_first_moment(u)
         assert abs(closed - moment) <= 1e-8 * closed
 
 

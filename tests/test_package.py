@@ -1,6 +1,13 @@
+import importlib
+import re
 import types
+from pathlib import Path
 
 import szegolab
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+# | `NAME` | module | threshold | ... : one row of the README guard table
+GUARD_ROW = re.compile(r"^\s*\| `([A-Z_]+)` \| (\w+) \| ([0-9.e−-]+) \|", re.MULTILINE)
 
 
 def test_all_lists_resolvable_non_module_names():
@@ -8,3 +15,13 @@ def test_all_lists_resolvable_non_module_names():
     for name in szegolab.__all__:
         obj = getattr(szegolab, name)
         assert not isinstance(obj, types.ModuleType), name
+
+
+def test_readme_guard_table_matches_the_constants():
+    text = README.read_text(encoding="utf-8")
+    rows = GUARD_ROW.findall(text)
+    assert len(rows) >= 10
+    assert len(rows) == len(re.findall(r"^\s*\| `[A-Z_]+` \|", text, re.MULTILINE))  # none skipped
+    for name, module, threshold in rows:
+        value = getattr(importlib.import_module(f"szegolab.{module}"), name)
+        assert value == float(threshold.replace("−", "-")), (name, value, threshold)
