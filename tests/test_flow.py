@@ -1,3 +1,7 @@
+import itertools
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -117,10 +121,10 @@ def test_step_validation():
 def test_blowup_guard_trips_on_corrupted_rhs(monkeypatch):
     import szegolab.flow as flow_mod
 
-    def bad_rhs(c):
-        return 0.05 * c  # injects anti-damping: mass grows
+    def bad_rhs(x, out, h):
+        np.multiply(x, 0.05j * h, out=out)  # h = -i dt folded in: injects anti-damping, mass grows
 
-    monkeypatch.setattr(flow_mod, "_rhs_raw", bad_rhs)
+    monkeypatch.setattr(flow_mod, "_cubic_rhs", lambda m: (bad_rhs, np.zeros(m, dtype=complex)))
     with pytest.raises(BlowupDetected):
         flow_mod.integrate(HardyFunction(np.array([1.0 + 0j])), 10.0, 0.05, 2, n_samples=40)
 
@@ -128,9 +132,97 @@ def test_blowup_guard_trips_on_corrupted_rhs(monkeypatch):
 def test_blowup_guard_trips_on_nan_rhs(monkeypatch):
     import szegolab.flow as flow_mod
 
-    monkeypatch.setattr(flow_mod, "_rhs_raw", lambda c: np.full(c.size, np.nan + 0j))
+    def nan_rhs(x, out, h):
+        out[:] = np.nan
+
+    monkeypatch.setattr(flow_mod, "_cubic_rhs", lambda m: (nan_rhs, np.zeros(m, dtype=complex)))
     with pytest.raises(BlowupDetected):
         flow_mod.integrate(HardyFunction(np.array([1.0 + 0j])), 0.1, 0.05, 2)
+
+
+def test_blowup_guard_names_the_step_between_samples(monkeypatch):
+    import szegolab.flow as flow_mod
+
+    real = flow_mod._cubic_rhs
+
+    def nan_in_step_five(m):
+        rhs, head = real(m)
+        calls = itertools.count()
+
+        def stub(x, out, h):
+            rhs(x, out, h)
+            if next(calls) == 4 * 4 + 1:  # the second stage of step 5
+                out[0] = np.nan
+        return stub, head
+
+    monkeypatch.setattr(flow_mod, "_cubic_rhs", nan_in_step_five)
+    with pytest.raises(BlowupDetected, match=r"to nan.* at t = 0\.05$"):
+        flow_mod.integrate(HardyFunction(np.array([1.0 + 0j])), 1.0, 0.01, 2, n_samples=2)
+
+
+# --- the kernel against an allocating reference ------------------------------------
+
+def ref_integrate(c, t_final, dt):
+    """Textbook allocating RK4 on the dense convolution oracle, endpoint only."""
+    n_steps = int(round(t_final / dt))
+    h = t_final / n_steps
+    for _ in range(n_steps):
+        k1 = ref_rhs_dense(c)
+        k2 = ref_rhs_dense(c + 0.5 * h * k1)
+        k3 = ref_rhs_dense(c + 0.5 * h * k2)
+        k4 = ref_rhs_dense(c + h * k3)
+        c = c + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return c
+
+
+def decaying_data(rng, m):
+    n = np.arange(m)
+    return 0.6 ** n * (rng.standard_normal(m) + 1j * rng.standard_normal(m))
+
+
+@pytest.mark.parametrize("m", [1, 7, 100, 128])
+def test_integrate_matches_allocating_reference(m):
+    u0 = HardyFunction(decaying_data(np.random.default_rng(m), m))
+    before = u0.coeffs.copy()
+    traj = integrate(u0, 0.2, 1e-3, m, n_samples=3)
+    want = ref_integrate(u0.coeffs, 0.2, 1e-3)
+    got = traj[-1].u.coeffs
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.array_equal(u0.coeffs, before)
+    arrays = [u0.coeffs] + [state.u.coeffs for state in traj]
+    assert all(not np.shares_memory(a, b) for i, a in enumerate(arrays) for b in arrays[i + 1:])
+
+
+def test_szego_rhs_is_repeatable():
+    u = HardyFunction(decaying_data(np.random.default_rng(3), 100))
+    a, b = szego_rhs(u).coeffs, szego_rhs(u).coeffs
+    assert a.tobytes() == b.tobytes()
+
+
+def test_concurrent_trajectories_match_serial():
+    inputs = [HardyFunction(decaying_data(np.random.default_rng(k), 64)) for k in range(4)]
+    serial = [integrate(u, 0.05, 1e-3, 64, n_samples=3) for u in inputs]
+    results = [None] * len(inputs)
+    start = threading.Barrier(len(inputs), timeout=30)
+
+    def worker(i):
+        start.wait()
+        results[i] = integrate(inputs[i], 0.05, 1e-3, 64, n_samples=3)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for got, want in zip(results, serial):
+        assert [s.t for s in got] == [s.t for s in want]
+        assert all(a.u.coeffs.tobytes() == b.u.coeffs.tobytes() for a, b in zip(got, want))
 
 
 # --- route comparison ----------------------------------------------------------------
