@@ -20,6 +20,7 @@ from .hardy import HardyFunction, sobolev_norm
 from .inverse import SpectralData, reconstruct_function
 
 MASS_DRIFT_LIMIT = 0.01  # largest tolerated relative mass drift along a trajectory
+MAX_STEPS = 10 ** 7      # largest RK4 step count T / dt that integrate accepts
 
 
 @dataclass(frozen=True)
@@ -79,13 +80,17 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
               n_samples: int = 17) -> list[FlowState]:
     """Classical RK4 trajectory of the direct flow, sampled n_samples times.
 
-    The step count is rounded so the samples land on exact step multiples;
+    The step count T / dt is rounded so the samples land on exact step multiples,
+    and a count above MAX_STEPS (an infinite one included) is invalid input;
     mass is checked after every step because the flow conserves it exactly,
     and a drift beyond MASS_DRIFT_LIMIT aborts with BlowupDetected.
     """
     if not (0 < dt < np.inf and 0 <= t_final < np.inf and m >= 1 and n_samples >= 2):  # NaN fails too
         raise ValidationError(f"need finite dt > 0, t_final >= 0, m >= 1, n_samples >= 2, "
                               f"got dt={dt}, T={t_final}, m={m}, n_samples={n_samples}")
+    steps = t_final / dt
+    if not steps <= MAX_STEPS:
+        raise ValidationError(f"T / dt = {steps:.3g} steps, more than MAX_STEPS = {MAX_STEPS}")
     c = np.zeros(m, dtype=complex)
     take = min(len(u0), m)
     c[:take] = u0.coeffs[:take]
@@ -95,7 +100,7 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
     if not sup <= np.sqrt(0.1 / dt):
         raise ValidationError(f"dt = {dt:g} too large for max |u| = {sup:.3g} (dt |u|^2 <= 0.1)")
 
-    n_steps = max(int(round(t_final / dt)), 1) if t_final > 0 else 0
+    n_steps = max(int(round(steps)), 1) if t_final > 0 else 0
     dt_eff = t_final / n_steps if n_steps else dt
     sample_at = set(np.linspace(0, n_steps, min(n_samples, n_steps + 1)).astype(int).tolist())
     rhs, stage = _cubic_rhs(m)

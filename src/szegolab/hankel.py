@@ -2,8 +2,15 @@
 
 The two matrices built from a coefficient vector are (u_hat(n+p)) and the
 shifted (u_hat(n+p+1)): the first and last m rows of one (m+1) x m array H.
-Their singular values come from one SVD each of the two row ranges of the leading
-block of H that the coefficients occupy; H H* serves the rank-one identity only.
+Their singular values come from one SVD each of the two row ranges of B = H Q,
+where H is now the leading block of that array the coefficients occupy and Q is
+either the identity or an orthonormal basis of the SKETCH_WIDTH-column sketch
+H* Omega of H's row space. The sketch is taken when a residual certificate proves
+it: with R = H - B Q* = H (I - Q Q*) and A, A_B, R_A the same rows of H, B, R,
+A A* = A_B A_B* + R_A R_A*, so 0 <= s_j(A)^2 - s_j(A_B)^2 <= ||R||^2 for every j,
+and s_j(A) <= ||R|| past the sketch width; pair_singular_values states the two
+conditions on ||R||_F that turn this into the eps * s_1 contract of the trim.
+H H* serves the rank-one identity only.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ from .hardy import HardyFunction, sobolev_norm
 TAU_RANK = 1e-6    # relative singular-value cutoff for numerical rank
 TAU_EIG = 1e-9     # distinctness / interlacing slack, relative to the largest value
 TAIL_RTOL = 1e-10  # largest tolerated tail_mass / total trace
+SKETCH_WIDTH = 16  # columns of the row-space sketch; narrower blocks than twice this are not sketched
 
 
 def _hankel_rows(u: HardyFunction, m: int) -> np.ndarray:
@@ -98,9 +106,60 @@ class HankelSpectrum:
         write_csv(path, ["index", "kind", "value"], rows)
 
 
-def _singular_values(a: np.ndarray) -> np.ndarray:
-    s = np.linalg.svd(a, compute_uv=False)
-    return _merge_close(s[s > TAU_RANK * s[0]], TAU_EIG)
+def _row_probe(rows: int) -> np.ndarray:
+    """Real rows x SKETCH_WIDTH Kronecker probe cos(2 pi frac(i j phi)), phi the golden ratio:
+    the same probe on every call, and no numpy.random import."""
+    i = np.arange(1, rows + 1, dtype=float)[:, None]
+    j = np.arange(1, SKETCH_WIDTH + 1, dtype=float)
+    return np.cos(2 * np.pi * (i * j * ((np.sqrt(5.0) - 1.0) / 2.0) % 1.0))
+
+
+def _certified(s: np.ndarray, r: float) -> bool:
+    """Whether the descending singular values s of one row range of B = H Q, given
+    r = ||H - B Q*||_F / s_0, stand for those of H (see pair_singular_values)."""
+    n = np.count_nonzero(s > TAU_RANK * s[0])  # s_0 > 0, so n >= 1
+    s_next = s[n] / s[0] if n < s.size else 0.0
+    return r * r <= 2 * np.finfo(float).eps * s[n - 1] / s[0] and s_next ** 2 + r * r < TAU_RANK ** 2
+
+
+def _sketched_spectra(h: np.ndarray) -> list[np.ndarray] | None:
+    """Singular values of rows 0..k-1 and 1..k of B = h Q for the contiguous (k+1) x k
+    block h, or None when the certificate fails for either (see pair_singular_values)."""
+    k = h.shape[1]
+    # h* Omega = (Omega^T h)*, and a real Omega takes Omega^T h as one real product
+    # over the interleaved real and imaginary parts of h
+    q = np.linalg.qr((_row_probe(k + 1).T @ h.view(float)).view(complex).conj().T)[0]
+    b = h @ q
+    # unit: the smaller Frobenius norm of b's two row ranges, taken over max |b| so no
+    # square underflows; it is at least that range's s_0, at most sqrt(l) times either's
+    c = np.abs(b).max()
+    unit = c * min(np.linalg.norm(a * (1.0 / c)) for a in (b[:-1], b[1:])) if c > 0 else 0.0
+    if not unit > 0:
+        return None
+    # ||h - b q*||_F^2 / unit^2 over chunks of 64 rows in one buffer, so no other k x k
+    # array exists; past 2 eps the range whose norm is unit already fails the first
+    # condition, so the SVDs of b are taken only below it
+    qh = q.conj().T
+    buf = np.empty((64, k), dtype=complex)
+    r2 = 0.0
+    for r0 in range(0, k + 1, 64):
+        d = np.matmul(b[r0:r0 + 64], qh, out=buf[:min(64, k + 1 - r0)])
+        d -= h[r0:r0 + 64]
+        d *= 1.0 / unit
+        r2 += np.vdot(d, d).real
+        if r2 > 2 * np.finfo(float).eps:
+            return None
+    lists = [np.linalg.svd(a, compute_uv=False) for a in (b[:-1], b[1:])]
+    return lists if all(_certified(s, np.sqrt(r2) * (unit / s[0])) for s in lists) else None
+
+
+def _block_spectra(h: np.ndarray) -> list[np.ndarray]:
+    """Singular values of rows 0..k-1 and 1..k of the (k+1) x k block h: those of B = h Q
+    when the certificate holds for both, else those of h itself (Q the identity). The
+    sketch works on a contiguous copy, released before the dense SVDs, so the two
+    buffers never coexist."""
+    lists = _sketched_spectra(np.array(h)) if h.shape[1] >= 2 * SKETCH_WIDTH else None
+    return lists or [np.linalg.svd(a, compute_uv=False) for a in (h[:-1], h[1:])]
 
 
 def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
@@ -112,6 +171,27 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     dropped entries lie on antidiagonals of index >= k, each one coefficient times a
     partial permutation, so their operator norm is at most that sum (Weyl), while
     s_1 >= ||H e_0|| = ||u_hat(0..m-1)||_2.
+
+    Both lists then come from B = H Q, H now the (k+1) x k block: Q is the k x l
+    orthonormal factor of H* Omega, l = SKETCH_WIDTH and Omega a fixed real probe,
+    when k >= 2l and the certificate below holds for both row ranges, and the identity
+    otherwise, which leaves the dense SVD of the block. The sketch costs O(k^2 l).
+    Certificate: let R = H - B Q* = H (I - Q Q*), A a row range of H and A_B, R_A the
+    same rows of B, R. Then A = A_B Q* + R_A with A_B Q* R_A* = A Q Q* (I - Q Q*) A* = 0,
+    so A A* = A_B A_B* + R_A R_A*, and Weyl's inequalities give
+    0 <= s_j(A)^2 - s_j(A_B)^2 <= ||R_A||^2 <= ||R||_F^2 for every j, where
+    s_j(A_B) = 0 for j > l. Let s_0 be the largest value of A_B, s_min the least above
+    TAU_RANK * s_0 and s_next the one after it (0 if none). If
+    ||R||_F^2 <= 2 eps s_0 s_min, each kept value moves by
+    s_j(A) - s_j(A_B) <= ||R||^2 / (2 s_j(A_B)) <= eps * s_0 <= eps * s_1(A). If
+    s_next^2 + ||R||_F^2 < (TAU_RANK s_0)^2, every later value of A stays below
+    TAU_RANK * s_0 <= TAU_RANK * s_1(A), where the cut drops it from A as well. So
+    the lists keep the trim's contract: the same values to eps * s_1, and the same
+    count unless a value lies within that distance of the cut. ||R||_F is summed over
+    row chunks in units of the smaller Frobenius norm f of B's two row ranges, so no
+    square underflows; since s_0 <= f for that range, ||R||_F^2 > 2 eps f^2 already
+    fails its first condition, and B's SVDs are skipped.
+
     The caller owns the truncation: if the coefficient vector extends past m,
     the discarded trace must stay below TAIL_RTOL of the total; the ratio is formed
     from the coefficients divided by max |u_hat|, so it holds at any scale.
@@ -128,8 +208,9 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     a = np.abs(np.concatenate([h[0], h[-1]]))  # |u_hat(0..2m-1)|
     dropped = np.cumsum(a[::-1])[::-1]  # dropped[k] = sum of a[k:]
     k = min(m, max(1, np.count_nonzero(dropped > np.finfo(float).eps * np.hypot.reduce(a[:m]))))
-    h = h[:k + 1, :k]
-    return HankelSpectrum(rho=_singular_values(h[:-1]), sigma=_singular_values(h[1:]), tail_mass=tm)
+    rho, sigma = (_merge_close(s[s > TAU_RANK * s[0]], TAU_EIG)
+                  for s in _block_spectra(h[:k + 1, :k]))
+    return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=tm)
 
 
 def check_trace_identity(u: HardyFunction, spectrum: HankelSpectrum) -> float:

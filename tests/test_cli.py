@@ -255,6 +255,10 @@ def _cap_address_space():
     (["spectrum", "--coeffs", "{tmp}/four_fields.csv", "--M", "4"], 2, "need exactly 3 fields"),
     (["spectrum", "--coeffs", "{tmp}/underscore.csv", "--M", "2"], 2, "underscores are not accepted"),
     (["sweep", "--task", "zero-gap", "--grid", "0.999,0.9999", "--out", "{tmp}/z.csv"], 0, "rows=2"),
+    *[(["flow", "--data", "{tmp}/pair1.json", "--T", "1", "--dt", dt, "--modes", "8", "--out", "{tmp}/t.csv"],
+       2, "more than MAX_STEPS") for dt in ("5e-324", "1e-300", "1e-12")],
+    *[(["flow-compare", "--data", "{tmp}/pair1.json", "--T", "1", "--dt", dt, "--modes", "8"],
+       2, "more than MAX_STEPS") for dt in ("5e-324", "1e-300", "1e-12")],
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():

@@ -116,6 +116,10 @@ def test_step_validation():
     for n_samples in (-1, 0, 1):
         with pytest.raises(ValidationError, match="n_samples >= 2"):
             integrate(HardyFunction(np.array([1.0])), 1.0, 1e-3, 4, n_samples=n_samples)
+    # a step count past MAX_STEPS, or one that overflows to inf, is rejected before any step
+    for t_final, dt in ((1.0, 5e-324), (1.0, 1e-300), (1.0, 1e-12), (1.0001, 1e-7)):
+        with pytest.raises(ValidationError, match="more than MAX_STEPS"):
+            integrate(HardyFunction(np.array([1.0])), t_final, dt, 4)
 
 
 def test_blowup_guard_trips_on_corrupted_rhs(monkeypatch):

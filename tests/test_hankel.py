@@ -1,13 +1,16 @@
+import sys
+import threading
 import time
 
 import numpy as np
 import pytest
 
+import szegolab.hankel as hankel_mod
 from szegolab import (HardyFunction, InsufficientTruncation, SpectralData, ValidationError,
-                      check_rank_one_identity, check_trace_identity, hankel_matrix,
+                      check_rank_one_identity, check_trace_identity, hankel_matrix, integrate,
                       pair_singular_values, reconstruct_function, shifted_hankel_matrix,
                       sobolev_norm, sum_rule_residual, tail_mass)
-from szegolab.hankel import TAU_RANK
+from szegolab.hankel import SKETCH_WIDTH, TAU_EIG, TAU_RANK, _merge_close
 
 
 def geometric_function(b=0.75, p=0.5, m=64):
@@ -132,6 +135,121 @@ def test_cost_follows_the_occupied_block():
     assert time.perf_counter() - t0 < 1.0
     assert np.abs(spec.rho - [(1 + np.sqrt(2)) / 2, (np.sqrt(2) - 1) / 2]).max() < 1e-14
     assert np.abs(spec.sigma - [0.5]).max() < 1e-15
+
+
+def chain(n_pairs, seed, m=256, ratios=(0.45, 0.7)):
+    rng = np.random.default_rng(seed)
+    s = np.concatenate([[1.0], np.cumprod(rng.uniform(*ratios, 2 * n_pairs - 1))])
+    return reconstruct_function(SpectralData(s, rng.uniform(0, 2 * np.pi, 2 * n_pairs)), m)
+
+
+def plateau():
+    # 0.905^n cut at n = 255, |u_hat(255)| = 1.6e-12 s_1: the section's corner leaves a
+    # plateau of values near that level
+    return HardyFunction(0.905 ** np.arange(256.0))
+
+
+def flow_states():
+    return [st.u for st in integrate(chain(2, 9, 128, (0.3, 0.6)), 1.0, 1e-3, 128, n_samples=4)]
+
+
+def dense_values(a):
+    s = np.linalg.svd(a, compute_uv=False)
+    return _merge_close(s[s > TAU_RANK * s[0]], TAU_EIG)
+
+
+def spy_certificates(monkeypatch):
+    """Record each certificate decision of pair_singular_values."""
+    seen = []
+    real = hankel_mod._certified
+
+    def spy(s, r):
+        seen.append(real(s, r))
+        return seen[-1]
+    monkeypatch.setattr(hankel_mod, "_certified", spy)
+    return seen
+
+
+@pytest.mark.parametrize("u", [chain(n, n) for n in (*range(1, 7), 10)] + [plateau()] + flow_states())
+def test_certified_sketch_matches_the_dense_svd(u, monkeypatch):
+    # B = H Q gives every value of the full matrices to eps * rho_1, with the same counts
+    m = len(u)
+    seen = spy_certificates(monkeypatch)
+    spec = pair_singular_values(u, m)
+    assert seen and all(seen)  # the sketch was taken
+    for got, full in ((spec.rho, hankel_matrix(u, m)), (spec.sigma, shifted_hankel_matrix(u, m))):
+        ref = dense_values(full)
+        assert got.size == ref.size
+        assert np.abs(got - ref).max() <= 4 * np.finfo(float).eps * spec.rho[0]
+
+
+@pytest.mark.parametrize("u, k", [
+    (HardyFunction(np.random.default_rng(6).standard_normal(256)
+                   + 1j * np.random.default_rng(7).standard_normal(256)), 256),  # full rank
+    (HardyFunction(np.eye(101)[100]), 101),                                       # z^100
+    (chain(10, 10, ratios=(0.6, 0.8)), 256),  # 10 pairs not resolved at 256 modes: the
+                                              # truncation level holds more values than the sketch
+])
+def test_failed_certificate_gives_the_dense_values(u, k, monkeypatch):
+    # the residual rejects the sketch (before or in the certificate), Q is the identity, and
+    # the values are those of the dense SVD of the k x k sections the coefficients occupy,
+    # bit for bit
+    assert k >= 2 * SKETCH_WIDTH
+    seen = spy_certificates(monkeypatch)
+    spec = pair_singular_values(u, 256)
+    assert not any(seen)
+    assert np.array_equal(spec.rho, dense_values(hankel_matrix(u, k)))
+    assert np.array_equal(spec.sigma, dense_values(shifted_hankel_matrix(u, k)))
+
+
+def test_certificate_conditions():
+    eps = np.finfo(float).eps
+    # kept values move by at most ||R||^2 / (2 s_min): certified only while that is <= eps * s_0
+    s = np.array([1.0, 1e-3])
+    assert hankel_mod._certified(s, np.sqrt(2 * eps * 1e-3) * 0.99)
+    assert not hankel_mod._certified(s, np.sqrt(2 * eps * 1e-3) * 1.01)
+    # a value just below the cut may rise above it by ||R||^2: certified only if it cannot
+    s = np.array([1.0, TAU_RANK * (1 - 1e-12)])
+    assert hankel_mod._certified(s, 1e-14)
+    assert not hankel_mod._certified(s, 1e-9)
+    assert hankel_mod._certified(np.array([1.0]), 0.0)
+
+
+def test_zero_block_is_not_certified():
+    spec = pair_singular_values(HardyFunction(np.zeros(256)), 256)
+    assert spec.rho.size == 0 and spec.sigma.size == 0
+    # a zero block wide enough to sketch: B = 0 cannot be certified and Q stays the identity
+    k = 2 * SKETCH_WIDTH
+    lists = hankel_mod._block_spectra(np.zeros((k + 1, k), dtype=complex))
+    assert [s.size for s in lists] == [k, k] and not any(s.any() for s in lists)
+
+
+def test_spectra_are_deterministic_across_calls_and_threads():
+    inputs = [chain(n, 20 + n) for n in range(1, 5)] + [plateau()]
+    serial = [pair_singular_values(u, 256) for u in inputs]
+    again = [pair_singular_values(u, 256) for u in inputs]
+    results = [None] * len(inputs)
+    start = threading.Barrier(len(inputs), timeout=30)
+
+    def worker(i):
+        start.wait()
+        results[i] = pair_singular_values(inputs[i], 256)
+
+    threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for want, *others in zip(serial, again, results):
+        for got in others:
+            assert got.rho.tobytes() == want.rho.tobytes()
+            assert got.sigma.tobytes() == want.sigma.tobytes()
 
 
 def test_tail_guard():
