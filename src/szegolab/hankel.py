@@ -4,9 +4,11 @@ The two matrices built from a coefficient vector are (u_hat(n+p)) and the
 shifted (u_hat(n+p+1)): the first and last m rows of one (m+1) x m array H.
 Their singular values come from one SVD each of the two row ranges of B = H Q,
 where H is now the leading block of that array the coefficients occupy and Q is
-either the identity or an orthonormal basis of the SKETCH_WIDTH-column sketch
-H* Omega of H's row space. The sketch is taken when a residual certificate proves
-it: with R = H - B Q* = H (I - Q Q*) and A, A_B, R_A the same rows of H, B, R,
+either the identity or an orthonormal basis of the span of H's first
+SKETCH_WIDTH rows: a Hankel operator of finite rank r has a nonsingular leading
+r x r section (Kronecker), so its first r rows span its row space. The sketch is
+taken when a residual certificate, which holds for any orthonormal Q, proves it:
+with R = H - B Q* = H (I - Q Q*) and A, A_B, R_A the same rows of H, B, R,
 A A* = A_B A_B* + R_A R_A*, so 0 <= s_j(A)^2 - s_j(A_B)^2 <= ||R||^2 for every j,
 and s_j(A) <= ||R|| past the sketch width; pair_singular_values states the two
 conditions on ||R||_F that turn this into the eps * s_1 contract of the trim.
@@ -61,19 +63,11 @@ def tail_mass(u: HardyFunction, m: int) -> float:
 
 
 def _merge_close(vals: np.ndarray, tau: float) -> np.ndarray:
-    """Collapse runs of values within tau of the largest (descending input) to their mean."""
-    if vals.size == 0:
-        return vals
-    out = []
-    run = [vals[0]]
-    for v in vals[1:]:
-        if run[-1] - v <= tau * vals[0]:
-            run.append(v)
-        else:
-            out.append(np.mean(run))
-            run = [v]
-    out.append(np.mean(run))
-    return np.array(out)
+    """Collapse runs of values within tau of the largest (descending input) to their mean:
+    a new run starts where a value lies more than tau * vals[0] below the one before."""
+    gap = -np.diff(vals, prepend=np.inf)  # vals[i-1] - vals[i], and inf for i = 0
+    starts = np.flatnonzero(gap > tau * vals[:1])
+    return np.add.reduceat(vals, starts) / np.diff(starts, append=vals.size)
 
 
 @dataclass(frozen=True)
@@ -87,14 +81,8 @@ class HankelSpectrum:
     def merged(self) -> np.ndarray:
         """Interleaved list s with s_(2j-1) = rho_j and s_(2k) = sigma_k."""
         n = min(self.rho.size, self.sigma.size)
-        out = np.empty(self.rho.size + self.sigma.size)
-        out[0:2 * n:2] = self.rho[:n]
-        out[1:2 * n:2] = self.sigma[:n]
-        if self.rho.size > n:
-            out[2 * n:] = self.rho[n:]
-        elif self.sigma.size > n:
-            out[2 * n:] = self.sigma[n:]
-        return out
+        pairs = np.column_stack((self.rho[:n], self.sigma[:n])).ravel()
+        return np.concatenate((pairs, self.rho[n:], self.sigma[n:]))
 
     def interlacing_ok(self) -> bool:
         s = self.merged()
@@ -104,14 +92,6 @@ class HankelSpectrum:
         rows = [(j + 1, "rho", float(v)) for j, v in enumerate(self.rho)]
         rows += [(k + 1, "sigma", float(v)) for k, v in enumerate(self.sigma)]
         write_csv(path, ["index", "kind", "value"], rows)
-
-
-def _row_probe(rows: int) -> np.ndarray:
-    """Real rows x SKETCH_WIDTH Kronecker probe cos(2 pi frac(i j phi)), phi the golden ratio:
-    the same probe on every call, and no numpy.random import."""
-    i = np.arange(1, rows + 1, dtype=float)[:, None]
-    j = np.arange(1, SKETCH_WIDTH + 1, dtype=float)
-    return np.cos(2 * np.pi * (i * j * ((np.sqrt(5.0) - 1.0) / 2.0) % 1.0))
 
 
 def _certified(s: np.ndarray, r: float) -> bool:
@@ -126,9 +106,7 @@ def _sketched_spectra(h: np.ndarray) -> list[np.ndarray] | None:
     """Singular values of rows 0..k-1 and 1..k of B = h Q for the contiguous (k+1) x k
     block h, or None when the certificate fails for either (see pair_singular_values)."""
     k = h.shape[1]
-    # h* Omega = (Omega^T h)*, and a real Omega takes Omega^T h as one real product
-    # over the interleaved real and imaginary parts of h
-    q = np.linalg.qr((_row_probe(k + 1).T @ h.view(float)).view(complex).conj().T)[0]
+    q = np.linalg.qr(h[:SKETCH_WIDTH].conj().T)[0]
     b = h @ q
     # unit: the smaller Frobenius norm of b's two row ranges, taken over max |b| so no
     # square underflows; it is at least that range's s_0, at most sqrt(l) times either's
@@ -172,13 +150,21 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     partial permutation, so their operator norm is at most that sum (Weyl), while
     s_1 >= ||H e_0|| = ||u_hat(0..m-1)||_2.
 
-    Both lists then come from B = H Q, H now the (k+1) x k block: Q is the k x l
-    orthonormal factor of H* Omega, l = SKETCH_WIDTH and Omega a fixed real probe,
-    when k >= 2l and the certificate below holds for both row ranges, and the identity
-    otherwise, which leaves the dense SVD of the block. The sketch costs O(k^2 l).
-    Certificate: let R = H - B Q* = H (I - Q Q*), A a row range of H and A_B, R_A the
-    same rows of B, R. Then A = A_B Q* + R_A with A_B Q* R_A* = A Q Q* (I - Q Q*) A* = 0,
-    so A A* = A_B A_B* + R_A R_A*, and Weyl's inequalities give
+    Both lists then come from B = H Q, H now the (k+1) x k block, with Q the k x l
+    orthonormal factor of H[:l]*, H's first l = SKETCH_WIDTH rows, when k >= 2l and
+    the certificate below holds for both row ranges, and Q the identity otherwise,
+    which leaves the dense SVD of the block. The sketch costs O(k^2 l). A Hankel
+    operator of finite rank r <= l, as on the rational data of the tori, has its row
+    space spanned by its first r rows (Kronecker). The map
+    u_hat(n) -> lam e^{i theta} e^{i n phi} u_hat(n) takes H to c D H D', with
+    c = lam e^{i theta} and D, D' diagonal unitary, and H[:l] with it; so in exact
+    arithmetic Q goes to D'* Q E and B to c D B E, E diagonal unitary, and the route
+    commutes with scaling, phase and rotation.
+
+    Certificate, for any orthonormal Q: let R = H - B Q* = H (I - Q Q*), A a row range
+    of H and A_B, R_A the same rows of B, R. Then A = A_B Q* + R_A with
+    A_B Q* R_A* = A Q Q* (I - Q Q*) A* = 0, so A A* = A_B A_B* + R_A R_A*, and Weyl's
+    inequalities give
     0 <= s_j(A)^2 - s_j(A_B)^2 <= ||R_A||^2 <= ||R||_F^2 for every j, where
     s_j(A_B) = 0 for j > l. Let s_0 be the largest value of A_B, s_min the least above
     TAU_RANK * s_0 and s_next the one after it (0 if none). If

@@ -323,8 +323,6 @@ def operator_bounds(d: SpectralData) -> OperatorBounds:
     holomorphically that far.
     """
     delta = d.delta()
-    if delta >= 1.0:
-        raise ValidationError(f"s must be strictly decreasing, got ratio {delta}")
     inv_sum = float(np.abs(d._factors.cinv).sum())
     l1 = float(np.abs(d._factors.p).sum(axis=0).max())
     radius = 1.0 / l1 - 1.0 if l1 > 0 else np.inf

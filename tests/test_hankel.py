@@ -4,13 +4,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import szegolab.hankel as hankel_mod
 from szegolab import (HardyFunction, InsufficientTruncation, SpectralData, ValidationError,
                       check_rank_one_identity, check_trace_identity, hankel_matrix, integrate,
                       pair_singular_values, reconstruct_function, shifted_hankel_matrix,
                       sobolev_norm, sum_rule_residual, tail_mass)
-from szegolab.hankel import SKETCH_WIDTH, TAU_EIG, TAU_RANK, _merge_close
+from szegolab.hankel import SKETCH_WIDTH, TAU_EIG, TAU_RANK, HankelSpectrum, _merge_close
 
 
 def geometric_function(b=0.75, p=0.5, m=64):
@@ -202,6 +203,27 @@ def test_failed_certificate_gives_the_dense_values(u, k, monkeypatch):
     assert np.array_equal(spec.sigma, dense_values(shifted_hankel_matrix(u, k)))
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), seed=st.integers(0, 10 ** 6), lam=st.floats(1e-12, 1e3),
+       theta=st.floats(0, 2 * np.pi, exclude_max=True), phi=st.floats(0, 2 * np.pi, exclude_max=True))
+def test_sketch_commutes_with_scaling_phase_and_rotation(n, seed, lam, theta, phi):
+    # lam e^{i theta} u_hat(n) e^{i n phi} maps H to lam e^{i theta} D H D' with D, D' diagonal
+    # unitary, and the leading rows with it: the same decisions, counts and values / lam
+    u = chain(n, seed)
+    m = len(u)
+    v = HardyFunction(lam * np.exp(1j * (theta + phi * np.arange(m))) * u.coeffs)
+    runs = []
+    for w in (u, v):
+        with pytest.MonkeyPatch.context() as patch:
+            seen = spy_certificates(patch)
+            runs.append((seen, pair_singular_values(w, m)))
+    (seen, base), (seen_v, got) = runs
+    assert seen_v == seen
+    for a, b in ((base.rho, got.rho), (base.sigma, got.sigma)):
+        assert a.size == b.size
+        assert np.abs(b / lam - a).max(initial=0.0) <= 1e-14 * base.rho[0]
+
+
 def test_certificate_conditions():
     eps = np.finfo(float).eps
     # kept values move by at most ||R||^2 / (2 s_min): certified only while that is <= eps * s_0
@@ -268,7 +290,7 @@ def test_tail_guard():
 
 
 def test_phase_invariance():
-    # the Gram eigenvalues are invariant under a global phase of the coefficients
+    # the singular values are invariant under a global phase of the coefficients
     rng = np.random.default_rng(3)
     c = rng.standard_normal(12) + 1j * rng.standard_normal(12)
     base = pair_singular_values(HardyFunction(c), 12)
@@ -276,6 +298,51 @@ def test_phase_invariance():
     scale = max(1.0, base.rho[0] ** 2)
     assert np.abs(base.rho ** 2 - rot.rho ** 2).max() < 1e-12 * scale
     assert np.abs(base.sigma ** 2 - rot.sigma ** 2).max() < 1e-12 * scale
+
+
+def merge_close_loop(vals, tau):
+    out, run = [], []
+    for v in vals:
+        if run and run[-1] - v > tau * vals[0]:
+            out.append(np.mean(run))
+            run = []
+        run.append(v)
+    return np.array(out + [np.mean(run)] if run else out, dtype=float)
+
+
+def merged_loop(rho, sigma):
+    out = []
+    for j in range(max(rho.size, sigma.size)):
+        out += [x[j] for x in (rho, sigma) if j < x.size]
+    return np.array(out, dtype=float)
+
+
+TAU = 2.0 ** -20
+
+
+@pytest.mark.parametrize("vals, runs", [
+    ([1.0, 1 - 0.6 * TAU, 1 - 1.2 * TAU, 1 - 1.8 * TAU, 0.5], 2),  # chained: each gap <= TAU,
+                                                                  # the spread > TAU
+    ([1.0, 1 - TAU, 0.5], 2),                                      # a gap of exactly TAU merges
+    ([1.0, 1 - TAU - 2.0 ** -52, 0.5], 3),                         # one just above it does not
+    ([4.0, 3.0, 1.0, 1.0, 1.0], 3),                                # a run at the end
+    ([2.5], 1),
+    ([], 0),
+    (np.repeat(np.linspace(1.0, 0.1, 40), np.arange(40) % 4 + 1), 40),  # ties of 1 to 4 values
+])
+def test_merge_close_matches_the_loop(vals, runs):
+    vals = np.array(vals, dtype=float)
+    got = _merge_close(vals, TAU)
+    assert got.size == runs
+    assert got.tobytes() == merge_close_loop(vals, TAU).tobytes()
+
+
+@pytest.mark.parametrize("n_rho, n_sigma", [(0, 0), (3, 3), (4, 3), (1, 0), (2, 4)])
+def test_merged_matches_the_loop(n_rho, n_sigma):
+    rng = np.random.default_rng(n_rho + 10 * n_sigma)
+    rho, sigma = rng.uniform(size=n_rho), rng.uniform(size=n_sigma)
+    got = HankelSpectrum(rho=rho, sigma=sigma, tail_mass=0.0).merged()
+    assert got.dtype == float and got.tobytes() == merged_loop(rho, sigma).tobytes()
 
 
 # --- identities ---------------------------------------------------------------
