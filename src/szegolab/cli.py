@@ -2,14 +2,16 @@
 
 Exit codes: 0 success, 2 validation error (bad file or parameters, or a
 size too large to allocate), 3 numerical failure (a module guard tripped).
-Outputs are deterministic for a fixed configuration; CSV values carry 17
-significant digits.
+Outputs are deterministic for a fixed configuration. Every printed or CSV
+value goes through `fileio.fmt` (floats carry 17 significant digits), and a
+report prints its dataclass fields in declaration order.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import astuple, fields
 from functools import cache
 from pathlib import Path
 
@@ -21,12 +23,16 @@ from .errors import NumericalError, SzegoLabError, ValidationError
 from .fileio import fmt, write_csv
 from .hankel import pair_singular_values
 from .hardy import HardyFunction
-from .inverse import (SpectralData, c1_closed_form, c1_lower_bound, operator_bounds,
-                      reconstruct_function, reconstruct_point)
+from .inverse import (OperatorBounds, SpectralData, c1_closed_form, c1_lower_bound,
+                      operator_bounds, reconstruct_function, reconstruct_point)
 
 
 def _print_kv(pairs) -> None:
-    print(" ".join(f"{k}={fmt(v) if isinstance(v, float) else v}" for k, v in pairs))
+    print(" ".join(f"{k}={fmt(v)}" for k, v in pairs))
+
+
+def _print_report(report) -> None:  # one key=value line per field, in declaration order
+    print("\n".join(f"{f.name}={fmt(getattr(report, f.name))}" for f in fields(report)))
 
 
 def _parse_complex(text: str) -> complex:
@@ -92,9 +98,7 @@ def cmd_spectrum(args) -> None:
 
 def cmd_certify(args) -> None:
     data = SpectralData.load_json(args.data)
-    report = operator_bounds(data)
-    for key, val in report.as_dict().items():
-        print(f"{key}={fmt(val) if isinstance(val, float) else val}")
+    _print_report(operator_bounds(data))
 
 
 def cmd_c1(args) -> None:
@@ -130,7 +134,10 @@ def cmd_geometric(args) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     # winding index at the geometric midpoints of the pole/zero annuli
-    radii = [gam ** (k / 2.0) for k in range(5, -6, -2)]
+    try:
+        radii = [gam ** (k / 2.0) for k in range(5, -6, -2)]
+    except (OverflowError, ZeroDivisionError) as exc:  # e^(5h) overflows, or gamma underflows to 0
+        raise ValidationError(f"h = {args.h} puts the index-profile radii outside the double range") from exc
     profile = geo.index_profile(gam, radii)
     write_csv(out_dir / "index_profile.csv", ["R", "index"],
               [(float(r), "" if idx is None else idx) for r, idx in profile])
@@ -139,9 +146,7 @@ def cmd_geometric(args) -> None:
     scan = geo.stability_scan(params, z, args.r, n_values)
     write_csv(out_dir / "stability.csv", ["N", "inv_norm_2"], [(n, v) for n, v in scan])
 
-    gap = geo.zero_gap(gam)
-    for key, val in gap.as_dict().items():
-        print(f"{key}={fmt(val)}")
+    _print_report(geo.zero_gap(gam))
 
     u_t = geo.u_via_toeplitz(params, z, args.r, args.n_max)
     data = geo.geometric_spectral_data(params, args.n_max)
@@ -154,18 +159,14 @@ def cmd_geometric(args) -> None:
 # --- sweep ----------------------------------------------------------------
 
 
-def _sweep_operator_bounds(delta: float, n: int) -> dict:
+def _sweep_operator_bounds(delta: float, n: int) -> OperatorBounds:
     s = delta ** np.arange(1, 2 * n + 1)
-    data = SpectralData(s, np.zeros(2 * n))
-    return operator_bounds(data).as_dict()
+    return operator_bounds(SpectralData(s, np.zeros(2 * n)))
 
 
-SWEEP_TASKS = {  # task -> (row function of (grid value, N), CSV columns)
-    "zero-gap": (lambda gamma, n: geo.zero_gap(gamma).as_dict(),
-                 ["gamma", "min_unit", "max_inner_scaled", "gap", "poisson_bound"]),
-    "operator-bounds": (_sweep_operator_bounds,
-                        ["delta", "l1_norm_c0inv_sum", "l1_norm_product",
-                         "bound_value", "certified_radius", "c0inv_sum_bound"]),
+SWEEP_TASKS = {  # task -> (report of (grid value, N), report type); its fields are the columns
+    "zero-gap": (lambda gamma, n: geo.zero_gap(gamma), geo.ZeroGapReport),
+    "operator-bounds": (_sweep_operator_bounds, OperatorBounds),
 }
 
 
@@ -173,16 +174,14 @@ def cmd_sweep(args) -> None:
     grid = _parse_grid(args.grid)
     if args.n < 1:
         raise ValidationError(f"--N must be >= 1, got {args.n}")
-    row_fn, columns = SWEEP_TASKS[args.task]
+    report_fn, report_type = SWEEP_TASKS[args.task]
+    columns = [f.name for f in fields(report_type)]
     rows = []
     for v in sorted(grid):  # stable, so repeated values keep their grid order
         try:
-            row_dict = row_fn(v, args.n)
+            rows.append([*astuple(report_fn(v, args.n)), ""])
         except SzegoLabError as exc:
-            rows.append([fmt(v)] + [""] * (len(columns) - 1) + [f"{type(exc).__name__}: {exc}"])
-            continue
-        rows.append([fmt(float(row_dict[c])) if isinstance(row_dict[c], (int, float)) else str(row_dict[c])
-                     for c in columns] + [""])
+            rows.append([v] + [""] * (len(columns) - 1) + [f"{type(exc).__name__}: {exc}"])
     write_csv(args.out, columns + ["error"], rows)
     _print_kv([("rows", len(rows)), ("out", args.out)])
 

@@ -1,7 +1,7 @@
 """CSV and JSON helpers shared by the I/O surfaces and the CLI.
 
-Floats are written with 17 significant digits so a round trip through text
-is bit-exact for doubles.
+`fmt` is the one rule that turns a value into output text: floats get 17
+significant digits, so a round trip through text is bit-exact for doubles.
 """
 
 from __future__ import annotations
@@ -13,8 +13,11 @@ from pathlib import Path
 from .errors import ValidationError
 
 
-def fmt(x: float) -> str:
-    return f"{float(x):.17g}"
+def fmt(x) -> str:
+    """A float with 17 significant digits, None as `none`, anything else as `str`."""
+    if isinstance(x, float):
+        return f"{x:.17g}"
+    return "none" if x is None else str(x)
 
 
 def write_csv(path, header, rows) -> None:
@@ -23,7 +26,7 @@ def write_csv(path, header, rows) -> None:
         w = csv.writer(f)
         w.writerow(header)
         for row in rows:
-            w.writerow([fmt(v) if isinstance(v, float) else v for v in row])
+            w.writerow([fmt(v) for v in row])
 
 
 def read_csv(path):

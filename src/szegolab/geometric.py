@@ -256,11 +256,6 @@ class ZeroGapReport:
     gap: float
     poisson_bound: float
 
-    def as_dict(self) -> dict:
-        return {"gamma": self.gamma, "min_unit": self.min_unit,
-                "max_inner_scaled": self.max_inner_scaled, "gap": self.gap,
-                "poisson_bound": self.poisson_bound}
-
 
 def zero_gap(gamma: float) -> ZeroGapReport:
     """Gap between min |kernel| on |zeta|=1 and sqrt(gamma) max |kernel| on |zeta|=gamma.

@@ -68,11 +68,13 @@ class HardyFunction:
 
 
 def sobolev_norm(u: HardyFunction, s: float) -> float:
-    """Sqrt of sum (1+n)^(2s) |u_hat(n)|^2 for s >= 0."""
+    """Sqrt of sum (1+n)^(2s) |u_hat(n)|^2 for s >= 0, with max |u_hat| factored out first."""
     if s < 0:
         raise ValidationError(f"sobolev_norm needs s >= 0, got {s}")
     n = np.arange(len(u), dtype=float)
-    return float(np.sqrt(np.sum((1.0 + n) ** (2.0 * s) * np.abs(u.coeffs) ** 2)))
+    a = np.abs(u.coeffs)
+    scale = a.max() or 1.0  # the zero function keeps the norm 0
+    return float(scale * np.sqrt(np.sum((1.0 + n) ** (2.0 * s) * (a / scale) ** 2)))
 
 
 def weighted_first_moment(u: HardyFunction) -> float:

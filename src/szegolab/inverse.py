@@ -99,7 +99,7 @@ class SpectralData:
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad spectral data object: {exc}") from exc
         for value in (v for pair in pairs for v in pair):
-            if isinstance(value, bool) or not isinstance(value, (int, float)):  # JSON numbers only
+            if type(value) not in (int, float):  # JSON numbers only; a bool is an int subclass
                 raise ValidationError(f"bad spectral data object: {value!r} is not a number")
         try:
             s = np.array([float(a) for a, _ in pairs])
@@ -303,16 +303,6 @@ class OperatorBounds:
     certified_radius: float | None
     c0inv_sum_bound: float
 
-    def as_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "l1_norm_c0inv_sum": self.l1_norm_c0inv_sum,
-            "l1_norm_product": self.l1_norm_product,
-            "bound_value": self.bound_value,
-            "certified_radius": self.certified_radius if self.certified_radius is not None else "none",
-            "c0inv_sum_bound": self.c0inv_sum_bound,
-        }
-
 
 def operator_bounds(d: SpectralData) -> OperatorBounds:
     """l1 norms of the explicit inverse and of C(0)^(-1) Cdot, with certificates.
@@ -405,8 +395,9 @@ def c1_lower_bound(d: SpectralData) -> C1LowerBounds:
 def cauchy_ones_solve(rho: np.ndarray, sigma: np.ndarray):
     """Closed-form solves of C x = 1 and C^T y = 1 for C[j, k] = 1/(rho_j + sigma_k).
 
-    x_k = prod_j (rho_j + sigma_k) / prod_(l != k) (sigma_k - sigma_l),
-    y_j = prod_l (rho_j + sigma_l) / prod_(i != j) (rho_j - rho_i).
+    x_k = prod_l (rho_l + sigma_k) / (sigma_k - sigma_l) and y_j = prod_l (rho_j + sigma_l) /
+    (rho_j - rho_l), the l = k (l = j) denominator read as 1.  Taken apart, the numerator and
+    denominator products both scale like s^N and underflow to 0/0 for s_r = delta^r.
     """
     rho = np.asarray(rho, dtype=float)
     sigma = np.asarray(sigma, dtype=float)
@@ -417,11 +408,8 @@ def cauchy_ones_solve(rho: np.ndarray, sigma: np.ndarray):
     merged[1::2] = sigma
     if not np.all(merged[:-1] > merged[1:]):
         raise DegenerateSpectrum("rho and sigma must strictly interlace")
-    n = rho.size
-    x = np.empty(n)
-    y = np.empty(n)
-    for k in range(n):
-        others = np.delete(np.arange(n), k)
-        x[k] = np.prod(rho + sigma[k]) / np.prod(sigma[k] - sigma[others])
-        y[k] = np.prod(rho[k] + sigma) / np.prod(rho[k] - rho[others])
+    num = rho[:, None] + sigma  # [l, k] = rho_l + sigma_k
+    diag = np.eye(rho.size, dtype=bool)
+    x = np.prod(num / np.where(diag, 1.0, sigma - sigma[:, None]), axis=0)
+    y = np.prod(num / np.where(diag, 1.0, rho[:, None] - rho), axis=1)
     return x, y

@@ -73,12 +73,22 @@ def test_missing_file_exit_2(capsys):
     assert main(["certify", "--data", "/nonexistent/x.json"]) == 2
 
 
-def test_certify_output(pair1, capsys):
+def test_certify_output(pair1, tmp_path, capsys):
     assert main(["certify", "--data", pair1]) == 0
     out = capsys.readouterr().out
     assert "l1_norm_product=0.5" in out
     assert "certified_radius=1" in out
     assert "delta=0.5" in out
+    # one line per report field, in declaration order; an absent radius prints as none
+    four = tmp_path / "four.json"
+    four.write_text(json.dumps({"pairs": [{"s": v, "psi": 0.0} for v in (1.0, 0.9, 0.8, 0.7)]}))
+    assert main(["certify", "--data", str(four)]) == 0
+    assert capsys.readouterr().out == ("delta=0.90000000000000002\n"
+                                       "l1_norm_c0inv_sum=0.46285156250000015\n"
+                                       "l1_norm_product=1.1050781250000001\n"
+                                       "bound_value=439329.65182545991\n"
+                                       "certified_radius=none\n"
+                                       "c0inv_sum_bound=46373.685470465185\n")
 
 
 def test_flow_csv_columns(pair1, tmp_path, capsys):
@@ -128,9 +138,13 @@ def test_sweep_zero_gap(tmp_path, capsys):
 
 def test_sweep_empty_grid(tmp_path):
     out_csv = tmp_path / "empty.csv"
-    assert main(["sweep", "--task", "zero-gap", "--grid", "", "--out", str(out_csv)]) == 0
-    header, rows = read_csv(out_csv)
-    assert rows == [] and header[0] == "gamma"
+    for task, columns in [
+            ("zero-gap", ["gamma", "min_unit", "max_inner_scaled", "gap", "poisson_bound", "error"]),
+            ("operator-bounds", ["delta", "l1_norm_c0inv_sum", "l1_norm_product", "bound_value",
+                                 "certified_radius", "c0inv_sum_bound", "error"])]:
+        assert main(["sweep", "--task", task, "--grid", "", "--out", str(out_csv)]) == 0
+        header, rows = read_csv(out_csv)
+        assert rows == [] and header == columns
 
 
 def test_sweep_operator_bounds(tmp_path):
@@ -144,6 +158,10 @@ def test_sweep_operator_bounds(tmp_path):
         assert float(vals["l1_norm_product"]) <= float(vals["bound_value"])
         delta = float(vals["delta"])
         assert abs(float(vals["bound_value"]) - a_explicit(delta)) < 1e-12 * a_explicit(delta)
+    # the radius is absent, and prints as none, exactly where the l1 norm reaches 1
+    uncertified = [float(dict(zip(header, row))["l1_norm_product"]) >= 1.0 for row in rows]
+    assert [row[header.index("certified_radius")] == "none" for row in rows] == uncertified
+    assert any(uncertified) and not all(uncertified)
 
 
 def test_sweep_determinism(tmp_path):
@@ -187,12 +205,13 @@ def test_spectrum_csv_export(pair1, tmp_path, capsys):
 
 def test_sweep_row_error_recorded(tmp_path):
     out_csv = tmp_path / "err.csv"
-    # gamma = 1.5 is invalid; the row records the error, the run continues
-    assert main(["sweep", "--task", "zero-gap", "--grid", "0.3,1.5", "--out", str(out_csv)]) == 0
+    # gamma = 1.1 is invalid; the row records the error and its grid value, the run continues
+    assert main(["sweep", "--task", "zero-gap", "--grid", "0.3,1.1", "--out", str(out_csv)]) == 0
     header, rows = read_csv(out_csv)
     assert len(rows) == 2
     assert rows[0][-1] == ""
-    assert "ValidationError" in rows[1][-1]
+    assert rows[1] == ["1.1000000000000001", "", "", "", "",
+                       "ValidationError: gamma must be in (0, 1), got 1.1"]
 
 
 def test_reconstruct_output_deterministic(pair1, tmp_path):
@@ -259,6 +278,8 @@ def _cap_address_space():
        2, "more than MAX_STEPS") for dt in ("5e-324", "1e-300", "1e-12")],
     *[(["flow-compare", "--data", "{tmp}/pair1.json", "--T", "1", "--dt", dt, "--modes", "8"],
        2, "more than MAX_STEPS") for dt in ("5e-324", "1e-300", "1e-12")],
+    *[(["geometric", "--h", h, "--out-dir", "{tmp}"], 2, f"h = {float(h)} puts the index-profile radii")
+      for h in ("143", "373", "1e308")],
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():

@@ -30,6 +30,16 @@ def test_sobolev_geometric_half():
     assert abs(sobolev_norm(u, 0.5) - 1.0) < 1e-12
 
 
+def test_sobolev_scales_without_underflow():
+    # squaring first turned 1e-170 * 0.5^n into 0.0
+    u = HardyFunction(0.5 ** np.arange(8))
+    for s in (0.0, 0.5):
+        want = sobolev_norm(u, s)
+        for lam in (1e-170, 1e-300):
+            assert abs(sobolev_norm(HardyFunction(lam * u.coeffs), s) / lam - want) <= 1e-15 * want
+    assert sobolev_norm(HardyFunction(np.zeros(4)), 0.5) == 0.0
+
+
 def test_sobolev_monotone_in_s():
     rng = np.random.default_rng(1)
     u = HardyFunction(rng.standard_normal(16) + 1j * rng.standard_normal(16))

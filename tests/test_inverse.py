@@ -539,6 +539,22 @@ def test_cauchy_ones_defining_equations():
         assert abs(np.sum(x / (rho[j] + sig)) - 1.0) < 1e-10
 
 
+@pytest.mark.parametrize("n, delta", [(20, 0.1), (40, 0.5), (60, 0.6), (50, 0.9)])
+def test_cauchy_ones_match_mpmath_on_geometric_data(n, delta):
+    # apart, prod (rho + sigma_k) and prod (sigma_k - sigma_l) both scale like s^N and underflow
+    mp = pytest.importorskip("mpmath")
+    s = delta ** np.arange(1, 2 * n + 1)
+    rho, sig = s[0::2], s[1::2]
+    x, y = cauchy_ones_solve(rho, sig)
+    with mp.workdps(400):
+        r, q = [mp.mpf(v) for v in rho], [mp.mpf(v) for v in sig]
+        for k in range(n):
+            want_x = mp.fprod(rl + q[k] for rl in r) / mp.fprod(q[k] - q[l] for l in range(n) if l != k)
+            want_y = mp.fprod(r[k] + ql for ql in q) / mp.fprod(r[k] - r[l] for l in range(n) if l != k)
+            assert abs(x[k] - want_x) <= 1e-14 * abs(want_x)
+            assert abs(y[k] - want_y) <= 1e-14 * abs(want_y)
+
+
 def test_cauchy_ones_needs_interlacing():
     with pytest.raises(DegenerateSpectrum):
         cauchy_ones_solve(np.array([1.0, 0.3]), np.array([0.2, 0.1]))
