@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 from .errors import ValidationError
@@ -41,12 +42,19 @@ def read_csv(path):
     return rows[0], rows[1:]
 
 
+def _unique_keys(pairs) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):  # a plain json.load keeps the last copy
+        raise ValueError(f"duplicate key {Counter(key for key, _ in pairs).most_common(1)[0][0]!r}")
+    return obj
+
+
 def load_json(path):
     path = Path(path)
     try:
         with path.open("r", encoding="utf-8") as f:
-            return json.load(f)
-    except ValueError as exc:  # bad syntax, bad UTF-8, or an integer past the digit limit
+            return json.load(f, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # bad syntax, bad UTF-8, a duplicate key, or an integer past the digit limit
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 

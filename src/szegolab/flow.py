@@ -167,8 +167,6 @@ class ConservationRow:
 
 def conservation_report(trajectory: list[FlowState]) -> list[ConservationRow]:
     """Conserved quantities per sampled state and their relative drift from t=0."""
-    if not trajectory:
-        return []
     rows = []
     ref = None
     for state in trajectory:

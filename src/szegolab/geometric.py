@@ -350,7 +350,7 @@ def u_via_toeplitz(p: GeometricParams, z: complex, r: float = DEFAULT_R, n: int 
 def _min_singular_value(t: np.ndarray, z: complex) -> float:
     """Smallest singular value of a truncated Toeplitz matrix, which must not be singular."""
     sv = np.linalg.svd(t, compute_uv=False)
-    if not sv[-1] >= EPS_TRUNC * sv[0]:  # NaN trips too
+    if not sv[-1] >= EPS_TRUNC * sv[0] or not sv[-1] > 0:  # NaN and the all-zero section trip too
         raise SingularTruncation(f"truncated Toeplitz matrix singular at n={t.shape[0]}, z={z}")
     return float(sv[-1])
 

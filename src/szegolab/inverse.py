@@ -32,7 +32,7 @@ _Factors = namedtuple("_Factors", "cinv c p")
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Pairs (s_r, psi_r), r = 1..2N, with s strictly decreasing and positive."""
+    """Pairs (s_r, psi_r), r = 1..2N: s strictly decreasing, positive, no odd/even pair within EPS_DEN."""
 
     s: np.ndarray
     psi: np.ndarray
@@ -57,6 +57,7 @@ class SpectralData:
         psi = psi.copy(); psi.flags.writeable = False
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "psi", psi)
+        _check_denominators(self)
 
     @property
     def n_pairs(self) -> int:
@@ -80,9 +81,8 @@ class SpectralData:
 
     @cached_property
     def _factors(self) -> _Factors:
-        """Read-only explicit C(0) inverse and (c, P), built on first use;
-        a build that raises caches nothing.  Threads racing on the first use may
-        each build it, bitwise identically, so whichever result is kept is right."""
+        """Read-only explicit C(0) inverse and (c, P), built on first use.  Threads racing on
+        the first use may each build it, bitwise identically, so whichever result is kept is right."""
         return _build_factors(self)
 
     def delta(self) -> float:
@@ -96,8 +96,12 @@ class SpectralData:
     def from_json_obj(cls, obj) -> "SpectralData":
         try:
             pairs = [(p["s"], p["psi"]) for p in obj["pairs"]]
+            unknown = ([k for k in obj if k != "pairs"]
+                       + [k for p in obj["pairs"] for k in p if k not in ("s", "psi")])
         except (KeyError, TypeError) as exc:
             raise ValidationError(f"bad spectral data object: {exc}") from exc
+        if unknown:
+            raise ValidationError(f"bad spectral data object: unknown key {unknown[0]!r}")
         for value in (v for pair in pairs for v in pair):
             if type(value) not in (int, float):  # JSON numbers only; a bool is an int subclass
                 raise ValidationError(f"bad spectral data object: {value!r} is not a number")
@@ -134,7 +138,6 @@ def _check_denominators(d: SpectralData) -> None:
 
 def build_c_matrix(d: SpectralData, z: complex) -> np.ndarray:
     """The N x N reconstruction matrix at evaluation point z."""
-    _check_denominators(d)
     a = d.s_odd * np.exp(1j * d.psi_odd)
     b = d.s_even * np.exp(1j * d.psi_even)
     den = d.s_odd[:, None] ** 2 - d.s_even[None, :] ** 2
@@ -146,7 +149,6 @@ def build_cdot_matrix(d: SpectralData) -> np.ndarray:
 
     Built from its own entry formula, not by differencing C(0) and C(z).
     """
-    _check_denominators(d)
     b = d.s_even * np.exp(1j * d.psi_even)
     den = d.s_odd[:, None] ** 2 - d.s_even[None, :] ** 2
     return b[None, :] / den
@@ -170,7 +172,6 @@ def _build_factors(d: SpectralData) -> _Factors:
     |s_odd_j^2 - s_even_l^2| = q / (1 - q^2) with q < 1 the pair ratio
     that EPS_DEN guards, at or below 1 / EPS_DEN.
     """
-    _check_denominators(d)
     n = d.n_pairs
     log_odd = np.log(d.s_odd)
     logx = 2.0 * log_odd
@@ -265,8 +266,8 @@ def b_delta(delta: float) -> float:
     Returns inf as soon as the partial product overflows: every later factor
     exceeds 1, and near delta = 1 the full product takes O(1/(1 - delta)) factors.
     """
-    if not (0 < delta < 1):
-        raise ValidationError(f"delta must be in (0, 1), got {delta}")
+    if not (0 <= delta < 1):  # delta = 0 is the empty product
+        raise ValidationError(f"delta must be in [0, 1), got {delta}")
     out = 1.0
     m = 1
     while delta ** (4 * m) >= 1e-16:
@@ -356,22 +357,16 @@ def _require_zero_angles(d: SpectralData) -> None:
 def c1_closed_form(d: SpectralData) -> float:
     """Closed-form first moment sum n u_hat(n) for zero-angle data.
 
-    Every summand is positive for strictly interlacing data; a nonpositive
-    summand means the data is numerically degenerate.
+    By strict interlacing, both products in summand k (from 0) have N - 1 - k negative factors,
+    each of modulus above 1, so every summand is positive (or +inf) and none needs a check.
     """
     _require_zero_angles(d)
-    _check_denominators(d)
-    rho = d.s_odd
-    sig = d.s_even
-    total = 0.0
-    for k in range(d.n_pairs):
-        term = sig[k] * np.prod((rho + sig[k]) / (rho - sig[k]))
-        others = np.delete(np.arange(d.n_pairs), k)
-        term *= np.prod((sig[k] + sig[others]) / (sig[others] - sig[k]))
-        if not term > 0:
-            raise DegenerateSpectrum(f"summand {k + 1} = {term:.3e} is not positive")
-        total += float(term)
-    return total
+    rho, sig = d.s_odd, d.s_even
+    col = sig[:, None]  # row k of both tables
+    plus = col + sig
+    term = sig * np.prod((rho + col) / (rho - col), axis=1)
+    term *= np.prod(plus / np.where(np.eye(d.n_pairs, dtype=bool), plus, sig - col), axis=1)  # l = k reads 1
+    return float(np.cumsum(term)[-1])  # a running sum in index order, not a pairwise one
 
 
 @dataclass(frozen=True)
@@ -383,12 +378,10 @@ class C1LowerBounds:
 
 
 def c1_lower_bound(d: SpectralData) -> C1LowerBounds:
-    _check_denominators(d)
-    rho = d.s_odd
-    sig = d.s_even
-    return C1LowerBounds(
-        corollary=float(np.sum(sig * (rho + sig) / (rho - sig))),
-        pairs_sum=float(np.sum(rho * sig / (rho - sig))),
+    rho, sig = d.s_odd, d.s_even
+    return C1LowerBounds(  # sigma times a ratio above 1, so no term underflows before sigma does
+        corollary=float(np.sum(sig * ((rho + sig) / (rho - sig)))),
+        pairs_sum=float(np.sum(sig * (rho / (rho - sig)))),
     )
 
 

@@ -90,7 +90,7 @@ def test_criterion_2_first_moment_formula():
         for _ in range(20):
             n = int(rng.integers(1, 6))
             d = draw_spectral(rng, n, 0.40, 0.65, psi_zero=True)
-            closed = c1_closed_form(d)  # raises if any summand fails positivity
+            closed = c1_closed_form(d)  # every summand is positive for interlacing data
             bounds = c1_lower_bound(d)
             assert bounds.corollary <= closed * (1.0 + 1e-12)
             m = 512

@@ -227,6 +227,8 @@ CONTRACT_DATA = {
     "pair1.json": [1.0, 0.5],
     "near_one.json": [1.0, 0.999999999],               # denominator gap 2e-9: B_delta overflows
     "underflow.json": [1.0, 0.5, 1e-170, 1e-170 * (1 - 1e-15)],  # squares underflow to 0
+    "wide.json": [1e300, 1e-300],                      # the ratio underflows to delta = 0
+    "tiny.json": [2e-170, 1e-170, 5e-171, 2.5e-171],   # a product s_r s_(r+1) underflows to 0
 }
 
 
@@ -280,6 +282,14 @@ def _cap_address_space():
        2, "more than MAX_STEPS") for dt in ("5e-324", "1e-300", "1e-12")],
     *[(["geometric", "--h", h, "--out-dir", "{tmp}"], 2, f"h = {float(h)} puts the index-profile radii")
       for h in ("143", "373", "1e308")],
+    (["geometric", "--h", "0.6931471805599453", "--z", "2,0", "--N-max", "1", "--out-dir", "{tmp}"],
+     3, "SingularTruncation"),
+    (["certify", "--data", "{tmp}/wide.json"], 0, "certified_radius=inf"),
+    (["c1", "--data", "{tmp}/tiny.json"], 0,
+     "lower_bound=3.7499999999999999e-170 eq4_bound=2.5000000000000001e-170"),
+    (["certify", "--data", "{tmp}/repeated.json"], 2, "duplicate key 's'"),
+    (["certify", "--data", "{tmp}/misspelt.json"], 2, "unknown key 'sgima'"),
+    (["spectrum", "--coeffs", "{tmp}/arabic.csv", "--M", "2"], 2, "non-ASCII"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():
@@ -288,6 +298,11 @@ def test_exit_code_contract(tmp_path, argv, code, text):
     (tmp_path / "four_fields.csv").write_text("n,re,im\n0,1,0,7\n")
     (tmp_path / "underscore.csv").write_text("n,re,im\n0,1_0,0\n")
     (tmp_path / "text.json").write_text('{"pairs": [{"s": "1.0", "psi": true}, {"s": 0.5, "psi": 0.0}]}')
+    (tmp_path / "repeated.json").write_text('{"pairs": [{"s": 1.0, "psi": 0, "s": 0.9}, '
+                                            '{"s": 0.5, "psi": 0}]}')
+    (tmp_path / "misspelt.json").write_text('{"pairs": [{"s": 1.0, "psi": 0, "sgima": 3}, '
+                                            '{"s": 0.5, "psi": 0}]}')
+    (tmp_path / "arabic.csv").write_text("n,re,im\n0,\u0661,0\n", encoding="utf-8")
     env = dict(os.environ, PYTHONPATH=str(Path(szegolab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-m", "szegolab.cli"] + [a.format(tmp=tmp_path) for a in argv],
                           capture_output=True, text=True, timeout=60, env=env,

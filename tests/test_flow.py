@@ -5,7 +5,7 @@ import threading
 import numpy as np
 import pytest
 
-from szegolab import (BlowupDetected, HardyFunction, SpectralData, ValidationError,
+from szegolab import (BlowupDetected, FlowState, HardyFunction, SpectralData, ValidationError,
                       compare_flows, conservation_report, integrate, l2_distance,
                       reconstruct_function, spectral_evolve, szego_rhs)
 
@@ -272,6 +272,15 @@ def test_report_zero_solution():
     rows = conservation_report(traj)
     for row in rows:
         assert row.mass == 0.0 and row.sv_drift_max == 0.0
+
+
+def test_report_counts_a_change_in_the_number_of_values():
+    # [1, 0.5] has two singular values and [1] one: the count change reads as a full drift
+    states = [FlowState(HardyFunction(np.array(c)), t, 0.5) for t, c in ((0.0, [1.0, 0.5]), (0.5, [1.0]))]
+    rows = conservation_report(states)
+    assert [r.t for r in rows] == [0.0, 0.5]
+    assert rows[0].sv_drift_max == 0.0 and rows[1].sv_drift_max == 1.0
+    assert conservation_report([]) == []
 
 
 def test_l2_distance_pads():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from szegolab import (GeometricParams, NearPole, SymbolGrid, ValidationError,
+from szegolab import (GeometricParams, NearPole, SingularTruncation, SymbolGrid, ValidationError,
                       ZeroOnContour, check_functional_equations, elliptic_check, f_gamma,
                       fhat_closed_form, geometric_spectral_data, index_profile,
                       phi_laurent_coeff, phi_symbol, poisson_gap_bound, reconstruct_point,
@@ -369,6 +369,17 @@ def test_stability_constant_symbol():
     # symbol identically 1 corresponds to h -> infinity limits; emulate directly
     a = toeplitz_truncated(1.0 * (np.arange(-7, 8) == 0), 8)
     assert abs(1.0 / np.linalg.svd(a, compute_uv=False)[-1] - 1.0) < 1e-14
+
+
+def test_all_zero_section_trips_the_truncation_guard():
+    # at h = log 2, omega = 1/2 exactly, so z = 2 makes c_0 = 1 - z omega = 0: the 1 x 1 section is 0,
+    # whose singular values pass sv[-1] >= EPS_TRUNC sv[0] as 0 >= 0
+    p = GeometricParams(h=np.log(2.0))
+    assert p.omega == 0.5
+    with pytest.raises(SingularTruncation, match="n=1"):
+        u_via_toeplitz(p, 2.0, 0.95, 1)
+    with pytest.raises(SingularTruncation, match="n=1"):
+        stability_scan(p, 2.0, 0.95, [1, 2])
 
 
 def test_stability_scan_plateaus():

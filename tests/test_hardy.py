@@ -156,6 +156,11 @@ def test_csv_rejects_bad_rows_and_bytes(tmp_path):
         path.write_text("n,re,im\n" + body)
         with pytest.raises(ValidationError, match="underscores"):
             HardyFunction.load_csv(path)
+    # int and float read non-ASCII digits (Arabic-Indic one, fullwidth two) and strip non-ASCII spaces
+    for body in ("0,\u0661,0\n", "0,1,\uff12\n", "\u0660,1,0\n", "0,\u20031\u2003,0\n"):
+        path.write_text("n,re,im\n" + body, encoding="utf-8")
+        with pytest.raises(ValidationError, match="non-ASCII"):
+            HardyFunction.load_csv(path)
     # bad UTF-8, and a field past the csv module's size limit
     for raw in (b"n,re,im\n0,1,0\xff\n", b"n,re,im\n0," + b"1" * 200000 + b",0\n"):
         path.write_bytes(raw)

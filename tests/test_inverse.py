@@ -6,7 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
-from szegolab import (AnglesNotZero, DegenerateSpectrum, SingularMatrix, SpectralData,
+from szegolab import (AnglesNotZero, C1LowerBounds, DegenerateSpectrum, SingularMatrix, SpectralData,
                       ValidationError, a_explicit, b_delta, build_c_matrix,
                       build_cdot_matrix, c0_inverse_sum_bound, c1_closed_form,
                       c1_lower_bound, cauchy_inverse_c0, cauchy_neumann_factors,
@@ -47,7 +47,7 @@ def test_data_validation():
             reconstruct_function(PAIR1, m)
 
 
-def test_data_json_accepts_only_numbers():
+def test_data_json_accepts_only_numbers(tmp_path):
     # strings and booleans are not JSON numbers, even where float() would take them
     for s0, psi0, bad in (("1.0", 0.0, "'1.0'"), (1.0, True, "True"), (10 ** 400, 0.0, "too large")):
         obj = {"pairs": [{"s": s0, "psi": psi0}, {"s": 0.5, "psi": 0.0}]}
@@ -55,6 +55,18 @@ def test_data_json_accepts_only_numbers():
             SpectralData.from_json_obj(obj)
     d = SpectralData.from_json_obj({"pairs": [{"s": 2, "psi": 0}, {"s": 0.5, "psi": 1.5}]})
     assert np.array_equal(d.s, [2.0, 0.5]) and np.array_equal(d.psi, [0.0, 1.5])
+    # an unknown key is named, in a pair or beside "pairs"
+    for obj, key in (({"pairs": [{"s": 1.0, "psi": 0, "sgima": 3}, {"s": 0.5, "psi": 0}]}, "sgima"),
+                     ({"pairs": [{"s": 1.0, "psi": 0}, {"s": 0.5, "psi": 0}], "N": 1}, "N")):
+        with pytest.raises(ValidationError, match=f"unknown key '{key}'"):
+            SpectralData.from_json_obj(obj)
+    # a repeated key would keep its last copy, so the file is refused, at any depth
+    path = tmp_path / "d.json"
+    for text, key in (('{"pairs": [{"s": 1.0, "psi": 0, "s": 0.9}, {"s": 0.5, "psi": 0}]}', "s"),
+                      ('{"pairs": [{"s": 1.0, "psi": 0}, {"s": 0.5, "psi": 0}], "pairs": []}', "pairs")):
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=f"duplicate key '{key}'"):
+            SpectralData.load_json(path)
 
 
 def test_data_json_rejects_unreadable_files(tmp_path):
@@ -106,15 +118,12 @@ def test_c_matrix_row_phase():
 
 
 def test_degenerate_denominator_rejected():
-    d = SpectralData(np.array([1.0, 1.0 - 1e-15]), np.zeros(2))
-    with pytest.raises(DegenerateSpectrum):
-        build_c_matrix(d, 0.0)
+    # the guard runs when the data is made, so no formula ever sees a cancelling pair
+    with pytest.raises(DegenerateSpectrum, match=r"\|s_1\^2 - s_2\^2\| cancels"):
+        SpectralData(np.array([1.0, 1.0 - 1e-15]), np.zeros(2))
     # the squares of the second pair underflow to 0, and the guard must not read 0/0 as a pass
-    tiny = SpectralData(np.array([1.0, 0.5, 1e-170, 1e-170 * (1 - 1e-15)]), np.zeros(4))
-    with pytest.raises(DegenerateSpectrum):
-        reconstruct_point(tiny, 0.3)
-    with pytest.raises(DegenerateSpectrum):
-        taylor_coefficients(tiny, 8)
+    with pytest.raises(DegenerateSpectrum, match=r"\|s_3\^2 - s_4\^2\| cancels"):
+        SpectralData(np.array([1.0, 0.5, 1e-170, 1e-170 * (1 - 1e-15)]), np.zeros(4))
 
 
 def test_underflowing_squares_reconstruct_without_warnings():
@@ -291,6 +300,11 @@ def test_b_delta_and_a_explicit_values():
     ref = np.prod([(1 - delta ** (4 * m)) ** -2.0 for m in range(1, 60)])
     assert abs(b_delta(delta) - ref) < 1e-12
     assert a_explicit(delta) > 0
+    # delta = 0 is the empty product; s = (1e300, 1e-300) has ratio 1e-600, which underflows to it
+    assert b_delta(0.0) == 1.0 and a_explicit(0.0) == 0.0
+    for bad in (-1e-300, 1.0, np.nan):
+        with pytest.raises(ValidationError, match="delta must be in"):
+            b_delta(bad)
 
 
 def test_b_delta_stops_at_overflow():
@@ -425,15 +439,6 @@ def test_separate_values_agree_bitwise():
     assert [reconstruct_point(d1, z) for z in zs] == [reconstruct_point(d2, z) for z in zs]
 
 
-def test_failed_build_is_not_cached(monkeypatch):
-    built = count_builds(monkeypatch)
-    d = SpectralData(np.array([1.0, 0.5, 0.25, 0.25 * (1 - 1e-15)]), np.zeros(4))
-    for _ in range(2):
-        with pytest.raises(DegenerateSpectrum):
-            reconstruct_point(d, 0.5)
-    assert len(built) == 2
-
-
 def test_concurrent_points_match_serial():
     rng = np.random.default_rng(43)
     serial_d = random_data(rng, 8)
@@ -503,6 +508,23 @@ def test_c1_lower_bound_below_closed_form():
         n = int(rng.integers(1, 6))
         d = random_data(rng, n, psi_zero=True)
         assert c1_lower_bound(d).corollary <= c1_closed_form(d) * (1 + 1e-12)
+
+
+def test_c1_scales_to_the_bottom_of_the_range():
+    # both bounds and the closed form are homogeneous of degree 1 in s
+    s = np.array([2.0, 1.0, 0.5, 0.25])
+    d = SpectralData(s, np.zeros(4))
+    ref, closed = c1_lower_bound(d), c1_closed_form(d)
+    assert ref == C1LowerBounds(corollary=3.75, pairs_sum=2.5) and closed > 0
+    for lam in (1e-170, 1e-300):
+        e = SpectralData(lam * s, np.zeros(4))
+        got = c1_lower_bound(e)
+        assert abs(got.corollary / lam - ref.corollary) <= 1e-14 * ref.corollary
+        assert abs(got.pairs_sum / lam - ref.pairs_sum) <= 1e-14 * ref.pairs_sum
+        assert abs(c1_closed_form(e) / lam - closed) <= 1e-14 * closed
+    # a ratio sigma / rho of 1e-600 underflows, and neither bound may read it as 0
+    wide = c1_lower_bound(SpectralData(np.array([1e300, 1e-300]), np.zeros(2)))
+    assert wide == C1LowerBounds(corollary=1e-300, pairs_sum=1e-300)
 
 
 def test_c1_small_gap_blowup():
