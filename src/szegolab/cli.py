@@ -253,6 +253,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for name, value in vars(args).items():  # every int argument is a size
+            # numpy counts an array's bytes in np.intp and past that range raises ValueError,
+            # not MemoryError; the first array a size n makes holds at most 2n complex values
+            if type(value) is int and value > np.iinfo(np.intp).max // (2 * np.dtype(complex).itemsize):
+                raise ValidationError(f"{name} = {value} is past the array sizes numpy can index")
         args.func(args)
     except ValidationError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -11,8 +11,9 @@ taken when a residual certificate, which holds for any orthonormal Q, proves it:
 with R = H - B Q* = H (I - Q Q*) and A, A_B, R_A the same rows of H, B, R,
 A A* = A_B A_B* + R_A R_A*, so 0 <= s_j(A)^2 - s_j(A_B)^2 <= ||R||^2 for every j,
 and s_j(A) <= ||R|| past the sketch width; pair_singular_values states the two
-conditions on ||R||_F that turn this into the eps * s_1 contract of the trim.
-H H* serves the rank-one identity only.
+conditions on ||R||_F that turn this into the eps * s_1 contract of the trim, all on
+u_hat times the power of two that brings max |u_hat| into [1/2, 1). H H* serves the
+rank-one identity only.
 """
 
 from __future__ import annotations
@@ -108,14 +109,12 @@ def _sketched_spectra(h: np.ndarray) -> list[np.ndarray] | None:
     k = h.shape[1]
     q = np.linalg.qr(h[:SKETCH_WIDTH].conj().T)[0]
     b = h @ q
-    # unit: the smaller Frobenius norm of b's two row ranges, taken over max |b| so no
-    # square underflows; it is at least that range's s_0, at most sqrt(l) times either's
-    c = np.abs(b).max()
-    unit = c * min(np.linalg.norm(a * (1.0 / c)) for a in (b[:-1], b[1:])) if c > 0 else 0.0
+    # unit: the smaller Frobenius norm of b's two row ranges, at least that range's s_0
+    unit = min(np.linalg.norm(a) for a in (b[:-1], b[1:]))
     if not unit > 0:
         return None
-    # ||h - b q*||_F^2 / unit^2 over chunks of 64 rows in one buffer, so no other k x k
-    # array exists; past 2 eps the range whose norm is unit already fails the first
+    # ||h - b q*||_F^2 over chunks of 64 rows in one buffer, so no other k x k array
+    # exists; past 2 eps unit^2 the range whose norm is unit already fails the first
     # condition, so the SVDs of b are taken only below it
     qh = q.conj().T
     buf = np.empty((64, k), dtype=complex)
@@ -123,12 +122,11 @@ def _sketched_spectra(h: np.ndarray) -> list[np.ndarray] | None:
     for r0 in range(0, k + 1, 64):
         d = np.matmul(b[r0:r0 + 64], qh, out=buf[:min(64, k + 1 - r0)])
         d -= h[r0:r0 + 64]
-        d *= 1.0 / unit
         r2 += np.vdot(d, d).real
-        if r2 > 2 * np.finfo(float).eps:
+        if r2 > 2 * np.finfo(float).eps * unit ** 2:
             return None
     lists = [np.linalg.svd(a, compute_uv=False) for a in (b[:-1], b[1:])]
-    return lists if all(_certified(s, np.sqrt(r2) * (unit / s[0])) for s in lists) else None
+    return lists if all(_certified(s, np.sqrt(r2) / s[0]) for s in lists) else None
 
 
 def _block_spectra(h: np.ndarray) -> list[np.ndarray]:
@@ -140,6 +138,7 @@ def _block_spectra(h: np.ndarray) -> list[np.ndarray]:
     return lists or [np.linalg.svd(a, compute_uv=False) for a in (h[:-1], h[1:])]
 
 
+@np.errstate(over="ignore")
 def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     """Descending singular-value lists of the m x m plain and shifted Hankel matrices.
 
@@ -173,30 +172,30 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     s_next^2 + ||R||_F^2 < (TAU_RANK s_0)^2, every later value of A stays below
     TAU_RANK * s_0 <= TAU_RANK * s_1(A), where the cut drops it from A as well. So
     the lists keep the trim's contract: the same values to eps * s_1, and the same
-    count unless a value lies within that distance of the cut. ||R||_F is summed over
-    row chunks in units of the smaller Frobenius norm f of B's two row ranges, so no
-    square underflows; since s_0 <= f for that range, ||R||_F^2 > 2 eps f^2 already
-    fails its first condition, and B's SVDs are skipped.
+    count unless a value lies within that distance of the cut. ||R||_F^2 is summed over
+    row chunks; once it exceeds 2 eps f^2, f the smaller Frobenius norm of B's two row
+    ranges, that range fails its first condition since s_0 <= f, and B's SVDs are skipped.
 
-    The caller owns the truncation: if the coefficient vector extends past m,
-    the discarded trace must stay below TAIL_RTOL of the total; the ratio is formed
-    from the coefficients divided by max |u_hat|, so it holds at any scale.
+    The caller owns the truncation: the trace at n >= m must stay below TAIL_RTOL of
+    the total. All of this runs on v_hat = 2^-e u_hat, 2^(e-1) <= max |u_hat| < 2^e, so
+    no sum of squares in the guard leaves the double range; rho, sigma and the tail mass
+    are scaled back exactly by 2^e and 2^(2e), so a value beyond the range reads inf,
+    and a tail mass below 2^-1022 max |u_hat|^2 keeps only a subnormal's digits.
     """
-    h = _hankel_rows(u, m)
-    tm = tail_mass(u, m)
-    scale = np.abs(u.coeffs).max()
-    if scale > 0:
-        v = HardyFunction(u.coeffs / scale)
-        ratio = tail_mass(v, m) / sobolev_norm(v, 0.5) ** 2
-        if not ratio <= TAIL_RTOL:
-            raise InsufficientTruncation(
-                f"tail mass {tm:.3e} is {ratio:.3e} of the total trace, above {TAIL_RTOL:g}; increase m={m}")
-    a = np.abs(np.concatenate([h[0], h[-1]]))  # |u_hat(0..2m-1)|
+    e = np.frexp(np.abs(u.coeffs).max())[1]
+    v = HardyFunction(np.ldexp(u.coeffs.view(float), -e).view(complex))
+    h = _hankel_rows(v, m)
+    tm = tail_mass(v, m)
+    total = sobolev_norm(v, 0.5) ** 2  # 0 only for the zero function, whose tm is 0 too
+    if not tm <= TAIL_RTOL * total:
+        raise InsufficientTruncation(f"tail mass {np.ldexp(tm, 2 * e):.3e} is {tm / total:.3e} "
+                                     f"of the total trace, above {TAIL_RTOL:g}; increase m={m}")
+    a = np.abs(np.concatenate([h[0], h[-1]]))  # |v_hat(0..2m-1)|
     dropped = np.cumsum(a[::-1])[::-1]  # dropped[k] = sum of a[k:]
     k = min(m, max(1, np.count_nonzero(dropped > np.finfo(float).eps * np.hypot.reduce(a[:m]))))
-    rho, sigma = (_merge_close(s[s > TAU_RANK * s[0]], TAU_EIG)
+    rho, sigma = (np.ldexp(_merge_close(s[s > TAU_RANK * s[0]], TAU_EIG), e)
                   for s in _block_spectra(h[:k + 1, :k]))
-    return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=tm)
+    return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=float(np.ldexp(tm, 2 * e)))
 
 
 def check_trace_identity(u: HardyFunction, spectrum: HankelSpectrum) -> float:

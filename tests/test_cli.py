@@ -290,6 +290,19 @@ def _cap_address_space():
     (["certify", "--data", "{tmp}/repeated.json"], 2, "duplicate key 's'"),
     (["certify", "--data", "{tmp}/misspelt.json"], 2, "unknown key 'sgima'"),
     (["spectrum", "--coeffs", "{tmp}/arabic.csv", "--M", "2"], 2, "non-ASCII"),
+    *[(argv + [size], 2, "past the array sizes numpy can index")
+      for size in ("4611686018427387904", str(10 ** 20))
+      for argv in (["reconstruct", "--data", "{tmp}/pair1.json", "--out", "{tmp}/c.csv", "--modes"],
+                   ["spectrum", "--coeffs", "{tmp}/coeffs.csv", "--M"],
+                   ["flow", "--data", "{tmp}/pair1.json", "--T", "1", "--dt", "0.01", "--out", "{tmp}/t.csv",
+                    "--modes"],
+                   ["flow-compare", "--data", "{tmp}/pair1.json", "--T", "1", "--dt", "0.01", "--modes"],
+                   ["sweep", "--task", "operator-bounds", "--grid", "0.5", "--out", "{tmp}/b.csv", "--N"],
+                   ["geometric", "--h", "0.7", "--out-dir", "{tmp}", "--N-max"])],
+    # coefficients at both ends of the double range: the transform scales them by a power of two
+    (["spectrum", "--coeffs", "{tmp}/subnormal.csv", "--M", "2"], 0, "sigma=1.5000000000000201e-310"),
+    (["spectrum", "--coeffs", "{tmp}/huge_tail.csv", "--M", "64"], 0, "tail_mass=inf"),
+    (["spectrum", "--coeffs", "{tmp}/largest.csv", "--M", "2"], 0, "sigma=1e+308"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():
@@ -303,8 +316,13 @@ def test_exit_code_contract(tmp_path, argv, code, text):
     (tmp_path / "misspelt.json").write_text('{"pairs": [{"s": 1.0, "psi": 0, "sgima": 3}, '
                                             '{"s": 0.5, "psi": 0}]}')
     (tmp_path / "arabic.csv").write_text("n,re,im\n0,\u0661,0\n", encoding="utf-8")
+    (tmp_path / "subnormal.csv").write_text("n,re,im\n0,3e-310,0\n1,1.5e-310,0\n")
+    (tmp_path / "huge_tail.csv").write_text("n,re,im\n" + "".join(f"{n},{1e200 * 0.5 ** n!r},0\n"
+                                                                   for n in range(128)))
+    (tmp_path / "largest.csv").write_text("n,re,im\n0,1e308,0\n1,1e308,0\n")
     env = dict(os.environ, PYTHONPATH=str(Path(szegolab.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-m", "szegolab.cli"] + [a.format(tmp=tmp_path) for a in argv],
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "szegolab.cli"]
+                          + [a.format(tmp=tmp_path) for a in argv],
                           capture_output=True, text=True, timeout=60, env=env,
                           preexec_fn=_cap_address_space)
     assert proc.returncode == code, proc.stderr

@@ -88,6 +88,16 @@ def test_kernel_matches_mpmath():
     }
     for zeta, want in pinned.items():
         assert abs(f_gamma(0.999, zeta) - want) <= 1e-14 * abs(want)
+    # gamma = 0.9999: 921 000 terms a side, about half a minute a point, at the same zeta
+    pinned = dict(zip(pinned, (
+        15707.177856696675,
+        15715.037340729512,
+        2347.2513253354218 + 15530.803180699106j,
+        14905.870199487787 + 4952.8244283362483j,
+        7534.1902412644076 + 13791.242729680274j,
+    )))
+    for zeta, want in pinned.items():
+        assert abs(f_gamma(0.9999, zeta) - want) <= 1e-14 * abs(want)
 
 
 def test_kernel_near_one_is_fast():

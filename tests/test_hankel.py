@@ -224,6 +224,25 @@ def test_sketch_commutes_with_scaling_phase_and_rotation(n, seed, lam, theta, ph
         assert np.abs(b / lam - a).max(initial=0.0) <= 1e-14 * base.rho[0]
 
 
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(n=st.integers(1, 6), seed=st.integers(0, 10 ** 6), t=st.floats(0, 1))
+def test_power_of_two_scaling_is_exact(n, seed, t):
+    # 2^k u_hat is exact while every nonzero coefficient stays normal, and so, bit for bit,
+    # is the transform: rho and sigma scale by 2^k and the tail mass by 2^(2k)
+    u = chain(n, seed)
+    base = pair_singular_values(u, 192)
+    parts = np.abs(u.coeffs.view(float))
+    # k keeps every nonzero coefficient part normal, and 2^k rho_1 and 2^(2k) tail mass finite
+    lo = -1021 - np.frexp(parts[parts > 0].min())[1]
+    hi = min(1023 - np.frexp(max(parts.max(), base.rho[0]))[1],
+             (1023 - np.frexp(base.tail_mass)[1]) // 2)
+    k = int(lo + round(t * (hi - lo)))
+    got = pair_singular_values(HardyFunction(2.0 ** k * u.coeffs), 192)
+    assert np.array_equal(got.rho, 2.0 ** k * base.rho)
+    assert np.array_equal(got.sigma, 2.0 ** k * base.sigma)
+    assert got.tail_mass == np.ldexp(base.tail_mass, 2 * k)
+
+
 def test_certificate_conditions():
     eps = np.finfo(float).eps
     # kept values move by at most ||R||^2 / (2 s_min): certified only while that is <= eps * s_0
