@@ -1,7 +1,10 @@
 """CSV and JSON helpers shared by the I/O surfaces and the CLI.
 
-`fmt` is the one rule that turns a value into output text: floats get 17
-significant digits, so a round trip through text is bit-exact for doubles.
+There is one float rule, FLOAT_FORMAT: 17 significant digits, so a round trip
+through text is bit-exact for doubles. `fmt` applies it to every report cell,
+and the coefficient CSV (`HardyFunction.save_csv`) writes it straight into each
+`n,re,im` line, one line per coefficient ended by CRLF, the bytes `csv.writer`
+would write for those cells.
 """
 
 from __future__ import annotations
@@ -13,11 +16,13 @@ from pathlib import Path
 
 from .errors import ValidationError
 
+FLOAT_FORMAT = "%.17g"
+
 
 def fmt(x) -> str:
     """A float with 17 significant digits, None as `none`, anything else as `str`."""
     if isinstance(x, float):
-        return f"{x:.17g}"
+        return FLOAT_FORMAT % x
     return "none" if x is None else str(x)
 
 

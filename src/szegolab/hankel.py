@@ -53,14 +53,22 @@ def shifted_hankel_matrix(u: HardyFunction, m: int) -> np.ndarray:
     return _hankel_rows(u, m)[1:].copy()
 
 
+def _tail_sum(u: HardyFunction, m: int) -> tuple[float, int]:
+    """(t, e) with sum over n >= m of (1+n) |u_hat(n)|^2 = t 2^(2e), summed on 2^-e u_hat(m..),
+    where 2^(e-1) <= max |u_hat(m..)| < 2^e, so no square leaves the double range."""
+    tail = u.coeffs[m:]
+    e = int(np.frexp(np.abs(tail).max(initial=0.0))[1])
+    n = np.arange(m, len(u), dtype=float)
+    return float(np.sum((1.0 + n) * np.abs(np.ldexp(tail.view(float), -e).view(complex)) ** 2)), e
+
+
 def tail_mass(u: HardyFunction, m: int) -> float:
-    """Discarded trace: sum over n >= m of (1+n) |u_hat(n)|^2."""
+    """Discarded trace: sum over n >= m of (1+n) |u_hat(n)|^2, summed on the tail's own power
+    of two, so it is subnormal or inf only where its true value is."""
     if m < 0:
         raise ValidationError(f"truncation index must be >= 0, got {m}")
-    if len(u) <= m:
-        return 0.0
-    n = np.arange(m, len(u), dtype=float)
-    return float(np.sum((1.0 + n) * np.abs(u.coeffs[m:]) ** 2))
+    t, e = _tail_sum(u, m)
+    return float(np.ldexp(t, 2 * e))
 
 
 def _merge_close(vals: np.ndarray, tau: float) -> np.ndarray:
@@ -177,25 +185,27 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     ranges, that range fails its first condition since s_0 <= f, and B's SVDs are skipped.
 
     The caller owns the truncation: the trace at n >= m must stay below TAIL_RTOL of
-    the total. All of this runs on v_hat = 2^-e u_hat, 2^(e-1) <= max |u_hat| < 2^e, so
-    no sum of squares in the guard leaves the double range; rho, sigma and the tail mass
-    are scaled back exactly by 2^e and 2^(2e), so a value beyond the range reads inf,
-    and a tail mass below 2^-1022 max |u_hat|^2 keeps only a subnormal's digits.
+    the total. All of this runs on v_hat = 2^-e u_hat, 2^(e-1) <= max |u_hat| < 2^e, and
+    rho and sigma are scaled back exactly by 2^e, so a value beyond the range reads inf.
+    The tail is summed once, on its own power of two (_tail_sum), so no sum of squares
+    leaves the double range: the guard scales it to v_hat's power, and the reported tail
+    mass to u_hat's, where it keeps full digits unless it is itself subnormal or inf.
     """
     e = np.frexp(np.abs(u.coeffs).max())[1]
     v = HardyFunction(np.ldexp(u.coeffs.view(float), -e).view(complex))
     h = _hankel_rows(v, m)
-    tm = tail_mass(v, m)
+    t, et = _tail_sum(u, m)
+    tm = np.ldexp(t, 2 * (et - e))  # et <= e: it can only underflow, below any total's TAIL_RTOL
     total = sobolev_norm(v, 0.5) ** 2  # 0 only for the zero function, whose tm is 0 too
     if not tm <= TAIL_RTOL * total:
-        raise InsufficientTruncation(f"tail mass {np.ldexp(tm, 2 * e):.3e} is {tm / total:.3e} "
+        raise InsufficientTruncation(f"tail mass {np.ldexp(t, 2 * et):.3e} is {tm / total:.3e} "
                                      f"of the total trace, above {TAIL_RTOL:g}; increase m={m}")
     a = np.abs(np.concatenate([h[0], h[-1]]))  # |v_hat(0..2m-1)|
     dropped = np.cumsum(a[::-1])[::-1]  # dropped[k] = sum of a[k:]
     k = min(m, max(1, np.count_nonzero(dropped > np.finfo(float).eps * np.hypot.reduce(a[:m]))))
     rho, sigma = (np.ldexp(_merge_close(s[s > TAU_RANK * s[0]], TAU_EIG), e)
                   for s in _block_spectra(h[:k + 1, :k]))
-    return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=float(np.ldexp(tm, 2 * e)))
+    return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=float(np.ldexp(t, 2 * et)))
 
 
 def check_trace_identity(u: HardyFunction, spectrum: HankelSpectrum) -> float:

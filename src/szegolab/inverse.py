@@ -226,6 +226,8 @@ def reconstruct_point(d: SpectralData, z: complex, method: str = "neumann") -> c
     """
     if method != "neumann":
         raise ValidationError(f"unknown method {method!r}")
+    if not np.isfinite(z):  # a NaN or inf in I - z P reaches LAPACK, which fails or warns
+        raise ValidationError(f"z must be finite, got {z}")
     c, p = cauchy_neumann_factors(d)
     m = np.eye(d.n_pairs, dtype=complex) - z * p
     cond = np.linalg.cond(m)
@@ -236,15 +238,20 @@ def reconstruct_point(d: SpectralData, z: complex, method: str = "neumann") -> c
 
 
 def taylor_coefficients(d: SpectralData, m: int) -> np.ndarray:
-    """First m Taylor coefficients via the recursion u_hat(n) = 1^T P^n c."""
+    """First m Taylor coefficients via the recursion u_hat(n) = 1^T P^n c.
+
+    v = P^n c lives in one of two buffers and P v is written into the other, so
+    no step allocates an array; the sums and products are those of v.sum() and p @ v.
+    """
     if m < 1:
         raise ValidationError(f"need m >= 1 coefficients, got {m}")
     c, p = cauchy_neumann_factors(d)
     out = np.empty(m, dtype=complex)
-    v = c.copy()
+    v, w = c.copy(), np.empty_like(c)
     for n in range(m):
-        out[n] = v.sum()
-        v = p @ v
+        out[n] = np.add.reduce(v)
+        np.matmul(p, v, out=w)
+        v, w = w, v
     return out
 
 

@@ -306,6 +306,10 @@ def test_tail_guard():
             pair_singular_values(u, m)
     with pytest.raises(ValidationError):
         tail_mass(u, -1)
+    # the tail is summed on its own power of two, so a tail far below max |u_hat|^2 keeps its digits
+    c = np.zeros(12)
+    c[[0, 1, 10, 11]] = 1e150, 5e149, 1e-10, 3e-11
+    assert abs(pair_singular_values(HardyFunction(c), 8).tail_mass / 1.208e-19 - 1) <= 1e-15
 
 
 def test_phase_invariance():

@@ -1,8 +1,12 @@
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szegolab import (HardyFunction, NegativeCoefficients, ValidationError, sobolev_norm,
                       weighted_first_moment)
+from szegolab.fileio import fmt, read_csv
 
 from disc_extraction import InconsistentSamples, coeffs_from_disc_samples
 
@@ -134,12 +138,38 @@ def test_csv_roundtrip(tmp_path):
     u.save_csv(path)
     v = HardyFunction.load_csv(path)
     assert np.array_equal(u.coeffs, v.coeffs)
+    # quoted fields, and ASCII spaces around a field, which int and float strip
+    for body in ('"0","1.5","0"\n', " 0 , 1.5 ,0\n"):
+        path.write_text("n,re,im\n" + body)
+        assert HardyFunction.load_csv(path).coeffs.tolist() == [1.5]
+
+
+def test_csv_bytes_are_pinned(tmp_path):
+    # header, CRLF, 17 significant digits, -0.0, the least subnormal and the largest double
+    path = tmp_path / "u.csv"
+    HardyFunction(np.array([complex(-0.0, 5e-324), complex(1e-05, 1.7976931348623157e308),
+                            complex(0.1, -2.0)])).save_csv(path)
+    assert path.read_bytes() == (b"n,re,im\r\n0,-0,4.9406564584124654e-324\r\n"
+                                 b"1,1.0000000000000001e-05,1.7976931348623157e+308\r\n"
+                                 b"2,0.10000000000000001,-2\r\n")
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(parts=st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                                st.floats(allow_nan=False, allow_infinity=False)), min_size=1, max_size=20))
+def test_csv_lines_are_fmt_cells(tmp_path_factory, parts):
+    # each coefficient line holds the cells fmt gives for n, re and im, as csv.writer would join them
+    path = tmp_path_factory.getbasetemp() / "lines.csv"
+    HardyFunction(np.array([complex(x, y) for x, y in parts])).save_csv(path)
+    want = "".join(",".join(map(fmt, (n, x, y))) + "\r\n" for n, (x, y) in enumerate(parts))
+    assert path.read_bytes().decode() == "n,re,im\r\n" + want
 
 
 def test_csv_rejects_bad_indices(tmp_path):
     # a negative n, a repeated n and a gap each name the offending row
     path = tmp_path / "u.csv"
-    for ns, bad in (([0, 1, 2, -1, 1], "-1"), ([0, 1, 1], "n = 1 repeated"), ([0, 2], "n = 2")):
+    for ns, bad in (([0, 1, 2, -1, 1], "-1"), ([0, 1, 1], "n = 1 repeated"), ([0, 2], "n = 2"),
+                    ([2, 2, 5], "n = 2 repeated"), ([1, 0, 9, 1], "n = 9 outside")):
         path.write_text("n,re,im\n" + "".join(f"{n},0.5,0\n" for n in ns))
         with pytest.raises(ValidationError, match=bad):
             HardyFunction.load_csv(path)
@@ -147,9 +177,11 @@ def test_csv_rejects_bad_indices(tmp_path):
 
 def test_csv_rejects_bad_rows_and_bytes(tmp_path):
     path = tmp_path / "u.csv"
-    for body in ("0,1,0,7\n", "0,1\n", "0,1,0\n\n"):
+    # each names the first offending row, here a 4-field row before an underscore row
+    for body, row in (("0,1,0,7\n", "['0', '1', '0', '7']"), ("0,1\n", "['0', '1']"), ("0,1,0\n\n", "[]"),
+                      ("0,1,0,7\n1,1_0,0\n", "['0', '1', '0', '7']")):
         path.write_text("n,re,im\n" + body)
-        with pytest.raises(ValidationError, match="exactly 3 fields"):
+        with pytest.raises(ValidationError, match=re.escape(f"bad row {row}: need exactly 3 fields")):
             HardyFunction.load_csv(path)
     # int and float would read 1_0 as 10
     for body in ("0,1_0,0\n", "0,1,0_0\n", "0_0,1,0\n"):
@@ -161,11 +193,61 @@ def test_csv_rejects_bad_rows_and_bytes(tmp_path):
         path.write_text("n,re,im\n" + body, encoding="utf-8")
         with pytest.raises(ValidationError, match="non-ASCII"):
             HardyFunction.load_csv(path)
+    # a row that int or float rejects, or that holds a non-finite value
+    for body, bad in (("0,inf,0\n", "must be finite"), ("0,1,nan\n", "must be finite"),
+                      ("0x10,1,0\n", "invalid literal for int"), ("0,0x10,0\n", "could not convert"),
+                      ("0,1,0\n1,1,0\n2,x,0\n3,1_0,0\n", r"\['2', 'x', '0'\]: could not convert")):
+        path.write_text("n,re,im\n" + body)
+        with pytest.raises(ValidationError, match=bad):
+            HardyFunction.load_csv(path)
     # bad UTF-8, and a field past the csv module's size limit
     for raw in (b"n,re,im\n0,1,0\xff\n", b"n,re,im\n0," + b"1" * 200000 + b",0\n"):
         path.write_bytes(raw)
         with pytest.raises(ValidationError, match="not a valid CSV file"):
             HardyFunction.load_csv(path)
+
+
+def load_by_rows(path):
+    """The row-by-row reader that load_csv's passes over all rows replaced, kept as their reference."""
+    _, rows = read_csv(path)
+    coeffs = np.zeros(len(rows), dtype=complex)
+    seen = set()
+    for row in rows:
+        if len(row) != 3:
+            raise ValidationError(f"{path}: bad row {row}: need exactly 3 fields n,re,im")
+        if any("_" in field or not field.isascii() for field in row):
+            raise ValidationError(f"{path}: bad row {row}: non-ASCII and underscores are not accepted")
+        try:
+            n = int(row[0])
+            value = complex(float(row[1]), float(row[2]))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: bad row {row}: {exc}") from exc
+        if not 0 <= n < len(rows):
+            raise ValidationError(f"{path}: bad row {row}: n = {n} outside 0..{len(rows) - 1}, "
+                                  f"so some index is missing")
+        if n in seen:
+            raise ValidationError(f"{path}: bad row {row}: n = {n} repeated")
+        seen.add(n)
+        coeffs[n] = value
+    return HardyFunction(coeffs)
+
+
+FIELDS = ["0", "1", "2", "3", "-1", "9" * 20, "1.5", "-0.0", " 2 ", "1_0", "\u0661", "inf", "0x10", "", "x"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rows=st.lists(st.lists(st.sampled_from(FIELDS), min_size=2, max_size=4), max_size=6))
+def test_csv_reader_matches_the_row_loop(tmp_path_factory, rows):
+    # the same coefficients, or the same message naming the same first offending row
+    path = tmp_path_factory.getbasetemp() / "rows.csv"
+    path.write_text("n,re,im\n" + "".join(",".join(row) + "\n" for row in rows), encoding="utf-8")
+    outcomes = []
+    for load in (HardyFunction.load_csv, load_by_rows):
+        try:
+            outcomes.append(load(path).coeffs.view(float).tobytes())
+        except ValidationError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_validation_errors():

@@ -163,6 +163,17 @@ def test_point_singular_matrix():
         reconstruct_point(PAIR1, 2.0)
 
 
+def test_point_rejects_non_finite_z(capfd):
+    # NaN reached the SVD in cond (a raw LinAlgError, and LAPACK may complain on stderr),
+    # and inf times a zero entry of P warned in I - z P before SingularMatrix
+    phased = SpectralData(np.array([1.0, 0.5, 0.25, 0.1]), np.array([0.3, -0.2, 1.0, 0.5]))
+    for d in (PAIR1, phased):
+        for z in (np.nan, complex(0.0, np.nan), complex(np.nan, np.nan), np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValidationError, match="z must be finite"):
+                reconstruct_point(d, z)
+    assert capfd.readouterr().err == ""
+
+
 def test_unknown_method():
     for method in ("cramer", "dense", "auto"):
         with pytest.raises(ValidationError):
@@ -170,6 +181,19 @@ def test_unknown_method():
 
 
 # --- function reconstruction ---------------------------------------------------
+
+def test_taylor_matches_the_allocating_loop():
+    # the buffered recursion does the same sums and products as the loop that allocated each step
+    rng = np.random.default_rng(11)
+    for n in (1, 2, 7, 30):
+        d = SpectralData(np.cumprod(rng.uniform(0.3, 0.9, 2 * n)), rng.uniform(-np.pi, np.pi, 2 * n))
+        c, p = cauchy_neumann_factors(d)
+        want, v = [], c
+        for _ in range(300):
+            want.append(v.sum())
+            v = p @ v
+        assert taylor_coefficients(d, 300).tobytes() == np.array(want).tobytes()
+
 
 def test_reconstruct_geometric_series():
     u = reconstruct_function(PAIR1, 32)
