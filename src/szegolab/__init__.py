@@ -11,8 +11,8 @@ from .errors import (AnglesNotZero, BlowupDetected, DegenerateSpectrum, Insuffic
                      NearPole, NegativeCoefficients, NonzeroIndex, NumericalError,
                      SingularMatrix, SingularTruncation, SzegoLabError, ValidationError,
                      ZeroOnContour)
-from .flow import (FlowState, compare_flows, conservation_report, integrate, l2_distance,
-                   spectral_evolve, szego_rhs)
+from .flow import (ConservationRow, FlowState, compare_flows, conservation_report, integrate,
+                   l2_distance, spectral_evolve, szego_rhs)
 from .geometric import (EllipticReport, GeometricParams, SymbolGrid, WienerHopfFactors,
                         ZeroGapReport, check_functional_equations, elliptic_check, f_gamma,
                         fhat_closed_form, geometric_spectral_data, index_profile,
@@ -38,8 +38,8 @@ __all__ = [
     "NearPole", "NegativeCoefficients", "NonzeroIndex", "NumericalError", "SingularMatrix",
     "SingularTruncation", "SzegoLabError", "ValidationError", "ZeroOnContour",
     # flow
-    "FlowState", "compare_flows", "conservation_report", "integrate", "l2_distance",
-    "spectral_evolve", "szego_rhs",
+    "ConservationRow", "FlowState", "compare_flows", "conservation_report", "integrate",
+    "l2_distance", "spectral_evolve", "szego_rhs",
     # geometric
     "EllipticReport", "GeometricParams", "SymbolGrid", "WienerHopfFactors", "ZeroGapReport",
     "check_functional_equations", "elliptic_check", "f_gamma", "fhat_closed_form",

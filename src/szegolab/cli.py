@@ -80,8 +80,7 @@ def _parse_grid(text: str) -> list[float]:
 
 
 def cmd_reconstruct(args) -> None:
-    data = SpectralData.load_json(args.data)
-    u = reconstruct_function(data, args.modes)
+    u = reconstruct_function(args.data, args.modes)
     u.save_csv(args.out)
     _print_kv([("modes", args.modes), ("out", args.out)])
 
@@ -97,21 +96,18 @@ def cmd_spectrum(args) -> None:
 
 
 def cmd_certify(args) -> None:
-    data = SpectralData.load_json(args.data)
-    _print_report(operator_bounds(data))
+    _print_report(operator_bounds(args.data))
 
 
 def cmd_c1(args) -> None:
-    data = SpectralData.load_json(args.data)
-    bounds = c1_lower_bound(data)
-    closed = c1_closed_form(data)
+    bounds = c1_lower_bound(args.data)
+    closed = c1_closed_form(args.data)
     _print_kv([("closed_form", closed), ("lower_bound", bounds.corollary),
                ("eq4_bound", bounds.pairs_sum)])
 
 
 def cmd_flow(args) -> None:
-    data = SpectralData.load_json(args.data)
-    u0 = reconstruct_function(data, args.modes)
+    u0 = reconstruct_function(args.data, args.modes)
     traj = flow_mod.integrate(u0, args.t_final, args.dt, args.modes)
     rows = flow_mod.conservation_report(traj)
     write_csv(args.out, ["t", "mass", "h_half_norm", "sv_drift_max"],
@@ -121,8 +117,7 @@ def cmd_flow(args) -> None:
 
 
 def cmd_flow_compare(args) -> None:
-    data = SpectralData.load_json(args.data)
-    disc = flow_mod.compare_flows(data, args.t_final, args.dt, args.modes)
+    disc = flow_mod.compare_flows(args.data, args.t_final, args.dt, args.modes)
     _print_kv([("discrepancy", disc)])
 
 
@@ -194,9 +189,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="szegolab",
                                      description="Hankel spectral transform laboratory")
     sub = parser.add_subparsers(dest="command", required=True)
+    data = argparse.ArgumentParser(add_help=False)  # a pairs JSON file, which main loads
+    data.add_argument("--data", required=True)
+    flow = argparse.ArgumentParser(add_help=False)  # flow and flow-compare
+    flow.add_argument("--T", dest="t_final", type=float, required=True)
+    flow.add_argument("--dt", type=float, required=True)
+    flow.add_argument("--modes", type=int, default=128)
 
-    p = sub.add_parser("reconstruct", help="spectral data -> Taylor coefficients CSV")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("reconstruct", parents=[data], help="spectral data -> Taylor coefficients CSV")
     p.add_argument("--modes", type=int, default=256)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_reconstruct)
@@ -207,27 +207,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("certify", help="operator-bound report for spectral data")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("certify", parents=[data], help="operator-bound report for spectral data")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("c1", help="first-moment closed form and lower bounds")
-    p.add_argument("--data", required=True)
+    p = sub.add_parser("c1", parents=[data], help="first-moment closed form and lower bounds")
     p.set_defaults(func=cmd_c1)
 
-    p = sub.add_parser("flow", help="integrate the direct flow, write conservation CSV")
-    p.add_argument("--data", required=True)
-    p.add_argument("--T", dest="t_final", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--modes", type=int, default=128)
+    p = sub.add_parser("flow", parents=[data, flow],
+                       help="integrate the direct flow, write conservation CSV")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_flow)
 
-    p = sub.add_parser("flow-compare", help="L2 gap between spectral and integrated routes")
-    p.add_argument("--data", required=True)
-    p.add_argument("--T", dest="t_final", type=float, required=True)
-    p.add_argument("--dt", type=float, required=True)
-    p.add_argument("--modes", type=int, default=128)
+    p = sub.add_parser("flow-compare", parents=[data, flow],
+                       help="L2 gap between spectral and integrated routes")
     p.set_defaults(func=cmd_flow_compare)
 
     p = sub.add_parser("geometric", help="geometric-data certificates and route comparison")
@@ -258,6 +250,8 @@ def main(argv=None) -> int:
             # not MemoryError; the first array a size n makes holds at most 2n complex values
             if type(value) is int and value > np.iinfo(np.intp).max // (2 * np.dtype(complex).itemsize):
                 raise ValidationError(f"{name} = {value} is past the array sizes numpy can index")
+        if "data" in vars(args):
+            args.data = SpectralData.load_json(args.data)
         args.func(args)
     except ValidationError as exc:
         print(f"error ({type(exc).__name__}): {exc}", file=sys.stderr)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BlowupDetected, ValidationError
 from .hankel import pair_singular_values
-from .hardy import HardyFunction, sobolev_norm
+from .hardy import HardyFunction, _padded, sobolev_norm
 from .inverse import SpectralData, reconstruct_function
 
 MASS_DRIFT_LIMIT = 0.01  # largest tolerated relative mass drift along a trajectory
@@ -91,9 +91,7 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
     steps = t_final / dt
     if not steps <= MAX_STEPS:
         raise ValidationError(f"T / dt = {steps:.3g} steps, more than MAX_STEPS = {MAX_STEPS}")
-    c = np.zeros(m, dtype=complex)
-    take = min(len(u0), m)
-    c[:take] = u0.coeffs[:take]
+    c = _padded(u0.coeffs, m)
     sup = float(np.abs(np.fft.ifft(c, n=4 * m) * 4 * m).max())
     # compared as |u| <= sqrt(0.1 / dt) so huge data cannot overflow the check;
     # sampled on 4M nodes, not the RHS's 2M, since a coarser sample misses more of the peak
@@ -137,11 +135,7 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
 
 def l2_distance(u: HardyFunction, v: HardyFunction) -> float:
     m = max(len(u), len(v))
-    a = np.zeros(m, dtype=complex)
-    b = np.zeros(m, dtype=complex)
-    a[:len(u)] = u.coeffs
-    b[:len(v)] = v.coeffs
-    return float(np.linalg.norm(a - b))
+    return float(np.linalg.norm(_padded(u.coeffs, m) - _padded(v.coeffs, m)))
 
 
 def compare_flows(d: SpectralData, t_final: float, dt: float, m: int) -> float:

@@ -1,6 +1,6 @@
 """Totally geometric spectral data and its Toeplitz-operator machinery.
 
-For s_r = e^(-r h), psi_r = r theta h the reconstruction matrix row-reduces
+For s_r = e^(-r h), psi_r = r (theta h mod 2 pi) the reconstruction matrix row-reduces
 to a truncated Toeplitz matrix whose symbol is built from the kernel
 
     f_gamma(zeta) = sum over integer l of gamma^l / (1 - zeta gamma^(2l)),
@@ -44,12 +44,20 @@ class GeometricParams:
     theta: float = 0.0
 
     def __post_init__(self):
-        if not (self.h > 0 and np.isfinite(self.h)) or not np.isfinite(self.theta):
-            raise ValidationError(f"need h > 0 finite and theta finite, got h={self.h}, theta={self.theta}")
+        # theta h in Python floats, where an overflow reads inf without a warning; it is not
+        # finite for an infinite h either (inf or 0 * inf = nan)
+        if not (self.h > 0 and math.isfinite(float(self.theta) * float(self.h))):
+            raise ValidationError(f"need h > 0 and theta h finite, got h={self.h}, theta={self.theta}")
+
+    @property
+    def phase(self) -> float:
+        """theta h mod 2 pi (math.fmod: exact, with the sign of theta h), the angle step that
+        omega and geometric_spectral_data both read, so both routes reach one torus point."""
+        return math.fmod(float(self.theta) * float(self.h), 2.0 * math.pi)
 
     @property
     def omega(self) -> complex:
-        return complex(np.exp(-self.h * (1.0 - 1j * self.theta)))
+        return complex(np.exp(complex(-self.h, self.phase)))
 
     @property
     def gamma(self) -> float:
@@ -57,9 +65,9 @@ class GeometricParams:
 
 
 def geometric_spectral_data(p: GeometricParams, n: int) -> SpectralData:
-    """2n pairs (e^(-r h), r theta h); equivalently s_r e^(i psi_r) = omega^r."""
+    """2n pairs (e^(-r h), r phase), phase = theta h mod 2 pi; so s_r e^(i psi_r) = omega^r."""
     r = np.arange(1, 2 * n + 1, dtype=float)
-    return SpectralData(np.exp(-r * p.h), r * p.theta * p.h)
+    return SpectralData(np.exp(-r * p.h), r * p.phase)
 
 
 def _log_nome(gamma: float) -> float:

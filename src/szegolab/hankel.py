@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientTruncation, ValidationError
 from .fileio import write_csv
-from .hardy import HardyFunction, sobolev_norm
+from .hardy import HardyFunction, _padded, _pow2_scaled, _square_sum, sobolev_norm
 
 TAU_RANK = 1e-6    # relative singular-value cutoff for numerical rank
 TAU_EIG = 1e-9     # distinctness / interlacing slack, relative to the largest value
@@ -32,34 +32,27 @@ TAIL_RTOL = 1e-10  # largest tolerated tail_mass / total trace
 SKETCH_WIDTH = 16  # columns of the row-space sketch; narrower blocks than twice this are not sketched
 
 
-def _hankel_rows(u: HardyFunction, m: int) -> np.ndarray:
-    """(m+1) x m read-only view H[n, p] = u_hat(n + p) of u_hat(0..2m-1), zero past the
-    support; rows 0..m-1 are the plain matrix and rows 1..m the shifted one."""
+def _hankel_rows(c: np.ndarray, m: int) -> np.ndarray:
+    """(m+1) x m read-only view H[n, p] = c(n + p) of the coefficients c(0..2m-1), zero past
+    the end of c; rows 0..m-1 are the plain matrix and rows 1..m the shifted one."""
     if m < 1:
         raise ValidationError(f"matrix size must be >= 1, got {m}")
-    c = np.zeros(2 * m, dtype=complex)
-    take = min(len(u), 2 * m)
-    c[:take] = u.coeffs[:take]
-    return np.lib.stride_tricks.sliding_window_view(c, m)
+    return np.lib.stride_tricks.sliding_window_view(_padded(c, 2 * m), m)
 
 
 def hankel_matrix(u: HardyFunction, m: int) -> np.ndarray:
     """A[n, p] = u_hat(n + p), entries beyond the coefficient support are 0."""
-    return _hankel_rows(u, m)[:-1].copy()
+    return _hankel_rows(u.coeffs, m)[:-1].copy()
 
 
 def shifted_hankel_matrix(u: HardyFunction, m: int) -> np.ndarray:
     """A[n, p] = u_hat(n + p + 1)."""
-    return _hankel_rows(u, m)[1:].copy()
+    return _hankel_rows(u.coeffs, m)[1:].copy()
 
 
 def _tail_sum(u: HardyFunction, m: int) -> tuple[float, int]:
-    """(t, e) with sum over n >= m of (1+n) |u_hat(n)|^2 = t 2^(2e), summed on 2^-e u_hat(m..),
-    where 2^(e-1) <= max |u_hat(m..)| < 2^e, so no square leaves the double range."""
-    tail = u.coeffs[m:]
-    e = int(np.frexp(np.abs(tail).max(initial=0.0))[1])
-    n = np.arange(m, len(u), dtype=float)
-    return float(np.sum((1.0 + n) * np.abs(np.ldexp(tail.view(float), -e).view(complex)) ** 2)), e
+    """(t, e) with sum over n >= m of (1+n) |u_hat(n)|^2 = t 4^e, on the tail's own power of two."""
+    return _square_sum(u.coeffs[m:], np.arange(m + 1.0, len(u) + 1))
 
 
 def tail_mass(u: HardyFunction, m: int) -> float:
@@ -187,20 +180,22 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     The caller owns the truncation: the trace at n >= m must stay below TAIL_RTOL of
     the total. All of this runs on v_hat = 2^-e u_hat, 2^(e-1) <= max |u_hat| < 2^e, and
     rho and sigma are scaled back exactly by 2^e, so a value beyond the range reads inf.
-    The tail is summed once, on its own power of two (_tail_sum), so no sum of squares
-    leaves the double range: the guard scales it to v_hat's power, and the reported tail
-    mass to u_hat's, where it keeps full digits unless it is itself subnormal or inf.
+    The tail and the total are summed on their own powers of two (hardy._square_sum), so no
+    sum of squares leaves the double range: the guard scales the tail to v_hat's power, and
+    the reported tail mass to u_hat's, where it keeps full digits unless it is itself
+    subnormal or inf.
     """
-    e = np.frexp(np.abs(u.coeffs).max())[1]
-    v = HardyFunction(np.ldexp(u.coeffs.view(float), -e).view(complex))
+    v, e = _pow2_scaled(u.coeffs)
     h = _hankel_rows(v, m)
     t, et = _tail_sum(u, m)
     tm = np.ldexp(t, 2 * (et - e))  # et <= e: it can only underflow, below any total's TAIL_RTOL
-    total = sobolev_norm(v, 0.5) ** 2  # 0 only for the zero function, whose tm is 0 too
+    # max |v_hat| lies in [1/2, 1), so v_hat's own power of two is 2^0; the total is 0 only
+    # for the zero function, whose tm is 0 too
+    total = _square_sum(v, np.arange(1.0, len(u) + 1))[0]
     if not tm <= TAIL_RTOL * total:
         raise InsufficientTruncation(f"tail mass {np.ldexp(t, 2 * et):.3e} is {tm / total:.3e} "
                                      f"of the total trace, above {TAIL_RTOL:g}; increase m={m}")
-    a = np.abs(np.concatenate([h[0], h[-1]]))  # |v_hat(0..2m-1)|
+    a = np.abs(v[:2 * m])  # |v_hat(0..2m-1)|: the zeros past the support add nothing below
     dropped = np.cumsum(a[::-1])[::-1]  # dropped[k] = sum of a[k:]
     k = min(m, max(1, np.count_nonzero(dropped > np.finfo(float).eps * np.hypot.reduce(a[:m]))))
     rho, sigma = (np.ldexp(_merge_close(s[s > TAU_RANK * s[0]], TAU_EIG), e)
@@ -219,7 +214,7 @@ def check_rank_one_identity(u: HardyFunction, m: int) -> float:
     Measured on the top-left m/2 block where truncation edge effects vanish
     for coefficients supported in [0, m/2].
     """
-    h = _hankel_rows(u, m)
+    h = _hankel_rows(u.coeffs, m)
     g = h @ h.conj().T
     c = h[0]  # u_hat(0..m-1)
     resid = g[1:, 1:] - g[:-1, :-1] + np.outer(c, c.conj())

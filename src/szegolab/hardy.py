@@ -49,6 +49,8 @@ class HardyFunction:
         header, rows = read_csv(path)
         if [h.strip() for h in header] != ["n", "re", "im"]:
             raise ValidationError(f"{path}: expected header n,re,im, got {header}")
+        if not rows:
+            raise ValidationError(f"{path}: no coefficient rows")
         size = len(rows)
         end, fault = size, None  # later checks look only at the rows before the first fault
         if set(map(len, rows)) - {3}:
@@ -65,6 +67,11 @@ class HardyFunction:
             end, exc = next((i, exc) for i, row in enumerate(rows[:end]) if (exc := _parse_error(row)))
             fault = str(exc)
             n, real, imag = _parse_columns(rows[:end])
+        finite = np.isfinite(real) & np.isfinite(imag)
+        if not finite.all():
+            end = int(finite.argmin())
+            fault = "re and im must be finite"
+            n = n[:end]
         # `end` distinct indices in 0..size-1; with end = size they leave no gap
         if n and not (min(n) >= 0 and max(n) < size):
             end = next(i for i, k in enumerate(n) if not 0 <= k < size)
@@ -98,14 +105,31 @@ def _parse_error(row):
     return None
 
 
+def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
+    """(2^-e a, e) for a contiguous complex a, with 2^(e-1) <= max |a| < 2^e (e = 0 for an
+    empty or zero a); exact, since ldexp scales the real and imaginary parts apart."""
+    e = int(np.frexp(np.abs(a).max(initial=0.0))[1])
+    return np.ldexp(a.view(float), -e).view(complex), e
+
+
+def _square_sum(a: np.ndarray, w) -> tuple[float, int]:
+    """(t, e) with sum w |a|^2 = t 4^e, summed on 2^-e a (_pow2_scaled), so for weights w >= 1
+    no square leaves the double range and t >= 1/4 unless a is zero."""
+    v, e = _pow2_scaled(a)
+    return float(np.sum(w * np.abs(v) ** 2)), e
+
+
+def _padded(c: np.ndarray, n: int) -> np.ndarray:
+    """c(0..n-1) as a new complex array, zero past the end of c."""
+    return np.concatenate((c[:n], np.zeros(n - min(c.size, n), dtype=complex)))
+
+
 def sobolev_norm(u: HardyFunction, s: float) -> float:
-    """Sqrt of sum (1+n)^(2s) |u_hat(n)|^2 for s >= 0, with max |u_hat| factored out first."""
+    """Sqrt of sum (1+n)^(2s) |u_hat(n)|^2 for s >= 0, summed on a power of two (_square_sum)."""
     if s < 0:
         raise ValidationError(f"sobolev_norm needs s >= 0, got {s}")
-    n = np.arange(len(u), dtype=float)
-    a = np.abs(u.coeffs)
-    scale = a.max() or 1.0  # the zero function keeps the norm 0
-    return float(scale * np.sqrt(np.sum((1.0 + n) ** (2.0 * s) * (a / scale) ** 2)))
+    t, e = _square_sum(u.coeffs, np.arange(1.0, len(u) + 1) ** (2.0 * s))
+    return float(np.ldexp(np.sqrt(t), e))
 
 
 def weighted_first_moment(u: HardyFunction) -> float:

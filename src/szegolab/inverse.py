@@ -85,9 +85,14 @@ class SpectralData:
         the first use may each build it, bitwise identically, so whichever result is kept is right."""
         return _build_factors(self)
 
+    @property
+    def _ratios(self) -> np.ndarray:
+        """Consecutive ratios q_r = s_(r+1)/s_r, r = 1..2N-1."""
+        return self.s[1:] / self.s[:-1]
+
     def delta(self) -> float:
         """Largest consecutive ratio s_(r+1)/s_r."""
-        return float(np.max(self.s[1:] / self.s[:-1]))
+        return float(np.max(self._ratios))
 
     def to_json_obj(self) -> dict:
         return {"pairs": [{"s": float(sr), "psi": float(pr)} for sr, pr in zip(self.s, self.psi)]}
@@ -124,16 +129,17 @@ def _check_denominators(d: SpectralData) -> None:
     # degeneracy means catastrophic cancellation in x_j - y_k, so the guard is
     # relative to the operands; an absolute floor would reject healthy data
     # with strong decay, whose small denominators are exact to working precision.
-    # |x - y| / max(x, y) = 1 - q^2 with q = min/max of the s pair: no square
-    # is formed, so it cannot underflow to 0/0
-    a = d.s_odd[:, None]
-    b = d.s_even[None, :]
-    q = np.minimum(a, b) / np.maximum(a, b)
+    # |x - y| / max(x, y) = 1 - q^2 with q the smaller over the larger s of the pair: no
+    # square is formed, so it cannot underflow to 0/0. An odd/even pair spans a run of
+    # consecutive values, so its q is a product of consecutive ratios and at most each
+    # of them (rounding keeps that order); every consecutive pair is an odd/even pair,
+    # so the least 1 - q^2 over all N^2 pairs is the least over the consecutive ratios
+    q = d._ratios
     rel = (1.0 - q) * (1.0 + q)
-    if not rel.min() >= EPS_DEN:  # NaN trips too
-        j, k = np.unravel_index(int(np.argmin(rel)), rel.shape)
+    r = int(np.argmin(rel))
+    if not rel[r] >= EPS_DEN:  # NaN trips too
         raise DegenerateSpectrum(
-            f"|s_{2*j+1}^2 - s_{2*k+2}^2| cancels to {rel.min():.3e} relative, below {EPS_DEN:g}")
+            f"|s_{r + 1}^2 - s_{r + 2}^2| cancels to {rel[r]:.3e} relative, below {EPS_DEN:g}")
 
 
 def build_c_matrix(d: SpectralData, z: complex) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -19,6 +20,19 @@ def pair1(tmp_path):
     path = tmp_path / "pair1.json"
     path.write_text(json.dumps({"pairs": [{"s": 1.0, "psi": 0.0}, {"s": 0.5, "psi": 0.0}]}))
     return str(path)
+
+
+def test_readme_commands_parse():
+    # every line of the README's command block, with and without its [...] optional text
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```\n(.*?)```", text, re.DOTALL).group(1)
+    lines = block.splitlines()
+    assert len(lines) == 9
+    for line in lines:
+        assert line.startswith("szegolab ")
+        for variant in {re.sub(r"\[(.*?)\]", r"\1", line), re.sub(r"\[.*?\]", "", line)}:
+            args = build_parser().parse_args(variant.split()[1:])
+            assert args.func.__name__ == "cmd_" + args.command.replace("-", "_")
 
 
 def test_c1_command(pair1, capsys):
@@ -303,6 +317,12 @@ def _cap_address_space():
     (["spectrum", "--coeffs", "{tmp}/subnormal.csv", "--M", "2"], 0, "sigma=1.5000000000000201e-310"),
     (["spectrum", "--coeffs", "{tmp}/huge_tail.csv", "--M", "64"], 0, "tail_mass=inf"),
     (["spectrum", "--coeffs", "{tmp}/largest.csv", "--M", "2"], 0, "sigma=1e+308"),
+    (["spectrum", "--coeffs", "{tmp}/inf_coeff.csv", "--M", "2"], 2,
+     "inf_coeff.csv: bad row ['1', 'inf', '0']: re and im must be finite"),
+    (["spectrum", "--coeffs", "{tmp}/header_only.csv", "--M", "2"], 2, "header_only.csv: no coefficient rows"),
+    # theta h = 7e307 is reduced mod 2 pi once; at h = 10 it overflows
+    (["geometric", "--h", "0.7", "--theta", "1e308", "--out-dir", "{tmp}"], 0, "route_delta="),
+    (["geometric", "--h", "10", "--theta", "1e308", "--out-dir", "{tmp}"], 2, "theta h finite"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():
@@ -320,6 +340,8 @@ def test_exit_code_contract(tmp_path, argv, code, text):
     (tmp_path / "huge_tail.csv").write_text("n,re,im\n" + "".join(f"{n},{1e200 * 0.5 ** n!r},0\n"
                                                                    for n in range(128)))
     (tmp_path / "largest.csv").write_text("n,re,im\n0,1e308,0\n1,1e308,0\n")
+    (tmp_path / "inf_coeff.csv").write_text("n,re,im\n0,1,0\n1,inf,0\n")
+    (tmp_path / "header_only.csv").write_text("n,re,im\n")
     env = dict(os.environ, PYTHONPATH=str(Path(szegolab.__file__).parents[1]))
     proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "szegolab.cli"]
                           + [a.format(tmp=tmp_path) for a in argv],

@@ -422,6 +422,32 @@ def test_route_equality():
                 assert abs(u_t - u_c) <= 1e-9
 
 
+def test_routes_share_the_phase_at_huge_theta():
+    # theta h is reduced mod 2 pi once, so omega and psi_r describe one torus point however
+    # far theta h lies past 2 pi; r theta h in full overflows at theta = 1e308
+    for theta in (1e300, 1e308):
+        p = GeometricParams(h=0.7, theta=theta)
+        d = geometric_spectral_data(p, 12)
+        assert 0 <= p.phase < 2 * np.pi and np.all(d.psi == np.arange(1, 25) * p.phase)
+        for z in (0.0, 0.5, 1.0, 1j):
+            assert abs(u_via_toeplitz(p, z, r=0.95, n=12) - reconstruct_point(d, z, method="neumann")) <= 1e-9
+
+
+def test_phase_leaves_omega_unchanged_below_two_pi():
+    for h, theta in ((0.8, 0.6), (np.log(2.0), 0.2), (0.7, 8.9), (1e-3, -6000.0), (2.0, 0.0)):
+        p = GeometricParams(h=h, theta=theta)
+        assert p.phase == theta * h
+        assert p.omega == complex(np.exp(-h * (1.0 - 1j * theta)))
+
+
+def test_params_reject_a_non_finite_theta_h():
+    for theta in (1e308, np.inf, np.nan):
+        with pytest.raises(ValidationError, match="theta h finite"):
+            GeometricParams(h=10.0, theta=theta)
+    with pytest.raises(ValidationError, match="theta h finite"):
+        GeometricParams(h=np.float64(10.0), theta=np.float64(1e308))
+
+
 def test_u_via_toeplitz_r_independent():
     p = GeometricParams(h=0.7, theta=0.4)
     z = 0.8

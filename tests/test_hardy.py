@@ -210,6 +210,8 @@ def test_csv_rejects_bad_rows_and_bytes(tmp_path):
 def load_by_rows(path):
     """The row-by-row reader that load_csv's passes over all rows replaced, kept as their reference."""
     _, rows = read_csv(path)
+    if not rows:
+        raise ValidationError(f"{path}: no coefficient rows")
     coeffs = np.zeros(len(rows), dtype=complex)
     seen = set()
     for row in rows:
@@ -222,6 +224,8 @@ def load_by_rows(path):
             value = complex(float(row[1]), float(row[2]))
         except ValueError as exc:
             raise ValidationError(f"{path}: bad row {row}: {exc}") from exc
+        if not np.isfinite(value):
+            raise ValidationError(f"{path}: bad row {row}: re and im must be finite")
         if not 0 <= n < len(rows):
             raise ValidationError(f"{path}: bad row {row}: n = {n} outside 0..{len(rows) - 1}, "
                                   f"so some index is missing")

@@ -2,9 +2,11 @@ import sys
 import threading
 import time
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from szegolab import (AnglesNotZero, C1LowerBounds, DegenerateSpectrum, SingularMatrix, SpectralData,
                       ValidationError, a_explicit, b_delta, build_c_matrix,
@@ -124,6 +126,49 @@ def test_degenerate_denominator_rejected():
     # the squares of the second pair underflow to 0, and the guard must not read 0/0 as a pass
     with pytest.raises(DegenerateSpectrum, match=r"\|s_3\^2 - s_4\^2\| cancels"):
         SpectralData(np.array([1.0, 0.5, 1e-170, 1e-170 * (1 - 1e-15)]), np.zeros(4))
+    # sigma_1 = s_2 and rho_2 = s_3 nearly coincide: an even value before an odd one
+    with pytest.raises(DegenerateSpectrum, match=r"\|s_2\^2 - s_3\^2\| cancels"):
+        SpectralData(np.array([1.0, 0.5, 0.5 * (1 - 1e-15), 0.1]), np.zeros(4))
+
+
+def table_gap(s):
+    """The N x N table of 1 - q^2 over every odd/even pair that the consecutive-ratio guard
+    replaced, kept as its reference: its least value and the indices of that pair."""
+    a = s[0::2][:, None]
+    b = s[1::2][None, :]
+    q = np.minimum(a, b) / np.maximum(a, b)
+    rel = (1.0 - q) * (1.0 + q)
+    j, k = np.unravel_index(int(np.argmin(rel)), rel.shape)
+    return rel.min(), sorted((2 * j + 1, 2 * k + 2))
+
+
+def guard_message(s):
+    try:
+        SpectralData(s, np.zeros(s.size))
+    except DegenerateSpectrum as exc:
+        return str(exc)
+    return None
+
+
+# 1 - q: a cancelling gap 10^-(11..16), or a ratio q anywhere in [1e-12, 1)
+GAPS = st.one_of(st.integers(11, 16).map(lambda k: 10.0 ** -k), st.floats(-16, -10.5).map(lambda x: 10.0 ** x),
+                 st.floats(-12, 0, exclude_max=True).map(lambda x: 1.0 - 10.0 ** x))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(scale=st.floats(-300, 300), gaps=st.lists(GAPS, min_size=1, max_size=15))
+def test_gap_guard_matches_the_pair_table(scale, gaps):
+    gaps = gaps[:(len(gaps) - 1) // 2 * 2 + 1]  # 2N - 1 ratios for 2N values
+    s = 10.0 ** scale * np.cumprod([1.0] + [1.0 - g for g in gaps])
+    if not (np.all(s[:-1] > s[1:]) and s[-1] > 0):
+        return  # not valid spectral data, rejected before the guard runs
+    least, pair = table_gap(s)
+    assert (guard_message(s) is None) == (least >= inverse_mod.EPS_DEN)  # the same decision
+    # above every 1 - q^2 the threshold always trips the guard, whose message then shows
+    # its least value and pair: the table's
+    with mock.patch.object(inverse_mod, "EPS_DEN", 2.0):
+        message = guard_message(s)
+    assert f"|s_{pair[0]}^2 - s_{pair[1]}^2| cancels to {least:.3e} relative" in message
 
 
 def test_underflowing_squares_reconstruct_without_warnings():

@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -18,6 +19,16 @@ def test_all_lists_resolvable_non_module_names():
     for name in szegolab.__all__:
         obj = getattr(szegolab, name)
         assert not isinstance(obj, types.ModuleType), name
+
+
+def test_every_public_definition_is_exported():
+    # a name without a leading underscore is API, so a helper that is not exported must be private
+    for layer in ("errors", "flow", "geometric", "hankel", "hardy", "inverse"):
+        module = importlib.import_module(f"szegolab.{layer}")
+        for name, obj in vars(module).items():
+            if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__:
+                assert name.startswith("_") or name in szegolab.__all__, f"{layer}.{name}"
+    assert len(szegolab.__all__) == 71
 
 
 def test_readme_guard_table_matches_the_constants():
