@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import (NearPole, NonzeroIndex, SingularTruncation, ValidationError,
                      ZeroOnContour)
-from .inverse import SpectralData
+from .inverse import SpectralData, _guarded_solve
 
 EPS_POLE = 1e-6   # relative pole-distance guard
 EPS_ZERO = 1e-9   # contour zero guard
@@ -337,6 +337,8 @@ def _geometric_toeplitz(p: GeometricParams, z: complex, r: float, n: int) -> np.
     """T[j, k] = r^(k-j) (1 - z omega^(2(k-j)+1)) / (1 - gamma^(2(k-j)+1))."""
     if not (p.gamma < r < 1.0):
         raise ValidationError(f"need gamma = {p.gamma:.6g} < r < 1, got r = {r}")
+    if not np.isfinite(z):  # a NaN reaches the SVD, which fails; an inf warns in the coefficients
+        raise ValidationError(f"z must be finite, got {z}")
     return toeplitz_truncated(phi_laurent_coeff(p, z, np.arange(n - 1, -n, -1), r), n)
 
 
@@ -345,13 +347,17 @@ def u_via_toeplitz(p: GeometricParams, z: complex, r: float = DEFAULT_R, n: int 
 
     Solves the r-rescaled truncated system against (r^-j conj(omega)^(2j-1))
     and pairs with (r^k); the answer does not depend on r inside
-    (gamma, 1), which is itself a useful cross-check.
+    (gamma, 1), which is itself a useful cross-check.  The LU of the solve proves the
+    EPS_TRUNC guard wherever it can (inverse._guarded_solve); elsewhere the SVD of
+    _min_singular_value decides, and the system is solved after it passes.
     """
     t = _geometric_toeplitz(p, z, r, n)
-    _min_singular_value(t, z)
     j = np.arange(1, n + 1, dtype=float)
     rhs = r ** (-j) * np.conj(p.omega) ** (2 * j - 1)
-    x = np.linalg.solve(t, rhs)
+    x = _guarded_solve(t, rhs, 1.0 / EPS_TRUNC)[0]
+    if x is None:
+        _min_singular_value(t, z)
+        x = np.linalg.solve(t, rhs)
     return complex(np.sum(x * r ** j))
 
 

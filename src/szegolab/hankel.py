@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InsufficientTruncation, ValidationError
 from .fileio import write_csv
-from .hardy import HardyFunction, _padded, _pow2_scaled, _square_sum, sobolev_norm
+from .hardy import HardyFunction, _padded, _pow2_scaled, _square_sum
 
 TAU_RANK = 1e-6    # relative singular-value cutoff for numerical rank
 TAU_EIG = 1e-9     # distinctness / interlacing slack, relative to the largest value
@@ -203,9 +203,21 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=float(np.ldexp(t, 2 * et)))
 
 
+def _relative_gap(lhs: tuple[float, int], rhs: tuple[float, int]) -> float:
+    """|L - R| / R for square sums L = t 4^e and R = t' 4^e' as hardy._square_sum returns them,
+    with the exponents combined before any power is formed, so the ratio is the same at every
+    scale of the data; 0 where both are 0, inf where only R is."""
+    (t, e), (tr, er) = lhs, rhs
+    if tr == 0:
+        return 0.0 if t == 0 else np.inf
+    with np.errstate(over="ignore"):
+        return float(abs(np.ldexp(t / tr, 2 * (e - er)) - 1.0))
+
+
 def check_trace_identity(u: HardyFunction, spectrum: HankelSpectrum) -> float:
-    """|sum rho_j^2 - H^(1/2) norm squared|; zero up to tail mass and roundoff."""
-    return float(abs(np.sum(spectrum.rho ** 2) - sobolev_norm(u, 0.5) ** 2))
+    """|sum rho_j^2 - ||u||^2| / ||u||^2 in the H^(1/2) norm; zero up to tail mass and roundoff.
+    Relative, since at |u_hat| near 1e200 or 1e-200 the absolute residual leaves the double range."""
+    return _relative_gap(_square_sum(spectrum.rho, 1.0), _square_sum(u.coeffs, np.arange(1.0, len(u) + 1)))
 
 
 def check_rank_one_identity(u: HardyFunction, m: int) -> float:
@@ -223,8 +235,7 @@ def check_rank_one_identity(u: HardyFunction, m: int) -> float:
 
 
 def sum_rule_residual(u: HardyFunction, spectrum: HankelSpectrum) -> float:
-    """|sum of all s_r^2 - sum (1+2n)|u_hat(n)|^2|, the two-operator trace identity."""
-    n = np.arange(len(u), dtype=float)
-    rhs = float(np.sum((1.0 + 2.0 * n) * np.abs(u.coeffs) ** 2))
-    lhs = float(np.sum(spectrum.rho ** 2) + np.sum(spectrum.sigma ** 2))
-    return abs(lhs - rhs)
+    """|sum of all s_r^2 - sum (1+2n)|u_hat(n)|^2|, the two-operator trace identity, relative
+    to the second sum, as check_trace_identity is."""
+    return _relative_gap(_square_sum(np.concatenate((spectrum.rho, spectrum.sigma)), 1.0),
+                         _square_sum(u.coeffs, np.arange(1.0, 2 * len(u), 2)))

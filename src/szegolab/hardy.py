@@ -106,10 +106,10 @@ def _parse_error(row):
 
 
 def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:
-    """(2^-e a, e) for a contiguous complex a, with 2^(e-1) <= max |a| < 2^e (e = 0 for an
-    empty or zero a); exact, since ldexp scales the real and imaginary parts apart."""
+    """(2^-e a, e) for a contiguous real or complex a, with 2^(e-1) <= max |a| < 2^e (e = 0 for
+    an empty or zero a); exact, since ldexp scales the real and imaginary parts apart."""
     e = int(np.frexp(np.abs(a).max(initial=0.0))[1])
-    return np.ldexp(a.view(float), -e).view(complex), e
+    return np.ldexp(a.view(float), -e).view(a.dtype), e
 
 
 def _square_sum(a: np.ndarray, w) -> tuple[float, int]:

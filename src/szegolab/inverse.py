@@ -223,12 +223,47 @@ def cauchy_neumann_factors(d: SpectralData):
     return d._factors.c, d._factors.p
 
 
+def _guarded_solve(m: np.ndarray, rhs: np.ndarray, ceiling: float):
+    """(x, bound) with x = m^(-1) rhs from one LU factorization of m, which also proves
+    cond_2(m) <= ceiling, or (None, bound) where it does not and an SVD must decide.
+
+    One solve of m [rhs | I] gives x and X = m^(-1). Since ||A||_2 <= sqrt(||A||_1 ||A||_inf)
+    for every A (Higham, Accuracy and Stability of Numerical Algorithms, ch. 6),
+
+        bound = sqrt((||m||_1 ||X||_1) (||m||_inf ||X||_inf)) >= ||m||_2 ||X||_2,
+
+    the norms paired so that no product of two large norms overflows. x is returned only
+    where bound <= sqrt(ceiling). The computed X has relative error of about
+    n eps cond(m) g, g the pivot growth that the plain solve relies on being small:
+    each column solves (m + E_j) X e_j = e_j with ||E_j|| <= n eps g ||m||, so
+    m X = I - R with ||R|| <= sqrt(n) n eps g ||m|| ||X|| <= sqrt(n) n eps g sqrt(ceiling),
+    far below 1/2 for ceiling <= 1e13 and n in the hundreds, and then
+    cond_2(m) <= ||m|| ||X|| / (1 - ||R||) <= 2 sqrt(ceiling) <= ceiling. A NaN or inf bound,
+    a singular LU, or a bound above sqrt(ceiling) returns None, so the caller's SVD guard
+    decides exactly where it decided before; x is then None and bound may be NaN.
+    """
+    n = m.shape[0]
+    try:
+        sol = np.linalg.solve(m, np.column_stack((rhs, np.eye(n))))
+    except np.linalg.LinAlgError:
+        return None, np.nan
+    x, inv = sol[:, 0], sol[:, 1:]
+    with np.errstate(over="ignore", invalid="ignore"):
+        am, ai = np.abs(m), np.abs(inv)
+        k1 = am.sum(axis=0).max() * ai.sum(axis=0).max()
+        kinf = am.sum(axis=1).max() * ai.sum(axis=1).max()
+        bound = float(np.sqrt(k1 * kinf))
+    return (x if bound <= np.sqrt(ceiling) else None), bound
+
+
 def reconstruct_point(d: SpectralData, z: complex, method: str = "neumann") -> complex:
     """u(z) = <C(z)^(-1) 1, 1>.
 
     Goes through the explicit C(0) inverse and solves the well-scaled
     system (I - z P) w = c, which holds up at dynamic ranges where a dense
     factorization of C(z) is unusable.  "neumann" is the only method.
+    The LU of the solve proves the EPS_COND guard wherever it can (_guarded_solve);
+    elsewhere the SVD decides, and the system is solved after it passes.
     """
     if method != "neumann":
         raise ValidationError(f"unknown method {method!r}")
@@ -236,10 +271,12 @@ def reconstruct_point(d: SpectralData, z: complex, method: str = "neumann") -> c
         raise ValidationError(f"z must be finite, got {z}")
     c, p = cauchy_neumann_factors(d)
     m = np.eye(d.n_pairs, dtype=complex) - z * p
-    cond = np.linalg.cond(m)
-    if not np.isfinite(cond) or cond > EPS_COND:
-        raise SingularMatrix(f"cond(I - z P) = {cond:.3e} exceeds {EPS_COND:g} at z = {z}")
-    w = np.linalg.solve(m, c)
+    w = _guarded_solve(m, c, EPS_COND)[0]
+    if w is None:
+        cond = np.linalg.cond(m)
+        if not np.isfinite(cond) or cond > EPS_COND:
+            raise SingularMatrix(f"cond(I - z P) = {cond:.3e} exceeds {EPS_COND:g} at z = {z}")
+        w = np.linalg.solve(m, c)
     return complex(w.sum())
 
 

@@ -392,6 +392,18 @@ def test_all_zero_section_trips_the_truncation_guard():
         stability_scan(p, 2.0, 0.95, [1, 2])
 
 
+def test_toeplitz_route_rejects_non_finite_z(capfd):
+    # NaN reached the SVD (a raw LinAlgError, and LAPACK may complain on stderr), and inf
+    # warned in the Laurent coefficients before the matrix was built
+    for p in (GeometricParams(h=np.log(2.0)), GeometricParams(h=0.8, theta=0.6)):
+        for z in (np.nan, complex(0.0, np.nan), np.inf, complex(0.0, -np.inf)):
+            with pytest.raises(ValidationError, match="z must be finite"):
+                u_via_toeplitz(p, z, 0.95, 8)
+            with pytest.raises(ValidationError, match="z must be finite"):
+                stability_scan(p, z, 0.95, [4, 8])
+    assert capfd.readouterr().err == ""
+
+
 def test_stability_scan_plateaus():
     p = GeometricParams(h=np.log(2.0))
     scan = dict(stability_scan(p, 1.0, 0.95, [50, 100, 200]))

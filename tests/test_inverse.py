@@ -219,6 +219,80 @@ def test_point_rejects_non_finite_z(capfd):
     assert capfd.readouterr().err == ""
 
 
+def _cond_calls(monkeypatch):
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a) or cond(a))
+    return calls
+
+
+def test_point_values_far_out_take_no_svd(monkeypatch):
+    # the two pairs of norms are about 1e308 and 1e-308 at z = -1e308 + 1e308j, so their
+    # products are near 1, while ||m||_1 ||m||_inf alone overflows
+    calls = _cond_calls(monkeypatch)
+    d = SpectralData(np.array([1.0, 0.5, 0.2, 0.05]), np.zeros(4))
+    assert reconstruct_point(d, 1e200) == -4.295454545454547e-200
+    far = 2.1477272727272725e-308
+    assert reconstruct_point(d, complex(-1e308, 1e308)) == complex(far, far)
+    assert calls == []
+
+
+def test_point_near_a_pole_takes_the_svd(monkeypatch):
+    # the pole of u nearest 0 is at 1 / lambda_1(P) = 1.2369323736...; here cond(I - z P) is
+    # 1.46e7 and the LU bound 2.04e7, above sqrt(EPS_COND), so the SVD decides and passes
+    calls = _cond_calls(monkeypatch)
+    d = SpectralData(np.array([1.0, 0.5, 0.2, 0.05]), np.zeros(4))
+    c, p = cauchy_neumann_factors(d)
+    x, bound = inverse_mod._guarded_solve(np.eye(2) - 1.2369323 * p, c, inverse_mod.EPS_COND)
+    assert x is None and 1e6 < bound < 1e12
+    assert reconstruct_point(d, 1.2369323) == 3242966.8579624225
+    assert len(calls) == 1
+
+
+@st.composite
+def guarded_systems(draw):
+    """(m, rhs): Gaussian, graded (U diag(s) V* with cond 1..1e20), permuted diagonal, or the
+    identity with one dense row or column, on which ||m||_1 ||X||_1 or ||m||_inf ||X||_inf alone
+    lies below cond_2(m); times a scale in 1e-150..1e150."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["gaussian", "graded", "diagonal", "row", "column"]))
+    gauss = lambda: rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))  # noqa: E731
+    if kind == "gaussian":
+        m = gauss()
+    elif kind == "graded":
+        s = 10.0 ** np.linspace(0.0, -draw(st.floats(0.0, 20.0)), n)
+        m = (np.linalg.qr(gauss())[0] * s) @ np.linalg.qr(gauss())[0].conj().T
+    elif kind == "diagonal":
+        m = np.diag(10.0 ** rng.uniform(-draw(st.floats(0.0, 13.0)), 0.0, n))[rng.permutation(n)] + 0j
+    else:
+        m = np.eye(n, dtype=complex)
+        m[0] += 10.0 ** draw(st.floats(0.0, 8.0)) * gauss()[0]
+        if kind == "column":
+            m = m.T.copy()
+    m *= 10.0 ** draw(st.floats(-150.0, 150.0))
+    return m, rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(guarded_systems())
+def test_guarded_solve_passes_only_what_the_svd_passes(system):
+    from szegolab.geometric import EPS_TRUNC
+    m, rhs = system
+    n = m.shape[0]
+    cond = np.linalg.cond(m)
+    for ceiling in (inverse_mod.EPS_COND, 1.0 / EPS_TRUNC):
+        x, bound = inverse_mod._guarded_solve(m, rhs, ceiling)
+        if x is None:  # the SVD guard decides, as before
+            assert not bound <= np.sqrt(ceiling)
+            continue
+        assert cond <= ceiling
+        # equal in exact arithmetic for a permuted diagonal m; each side carries rounding of
+        # about n eps cond relative
+        assert cond <= bound * (1.0 + 4 * n * np.finfo(float).eps * bound)
+        assert np.array_equal(x, np.linalg.solve(m, rhs))
+
+
 def test_unknown_method():
     for method in ("cramer", "dense", "auto"):
         with pytest.raises(ValidationError):
