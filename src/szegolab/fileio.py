@@ -59,7 +59,9 @@ def load_json(path):
     try:
         with path.open("r", encoding="utf-8") as f:
             return json.load(f, object_pairs_hook=_unique_keys)
-    except ValueError as exc:  # bad syntax, bad UTF-8, a duplicate key, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # bad syntax, bad UTF-8, a duplicate key, an integer past the digit limit, or arrays
+        # or objects nested past the interpreter's recursion limit
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
 
 

@@ -160,7 +160,11 @@ class ConservationRow:
 
 
 def conservation_report(trajectory: list[FlowState]) -> list[ConservationRow]:
-    """Conserved quantities per sampled state and their relative drift from t=0."""
+    """Conserved quantities per sampled state and their relative drift from t=0.
+
+    From a zero reference a drift reads 0 only while the value stays zero, and inf otherwise;
+    a change in the number of singular values, to or from none included, reads at least 1.
+    """
     rows = []
     ref = None
     for state in trajectory:
@@ -172,20 +176,17 @@ def conservation_report(trajectory: list[FlowState]) -> list[ConservationRow]:
             ref = (mass, h_half, merged)
         mass0, h0, s0 = ref
         n = min(merged.size, s0.size)
-        if s0.size and n:
-            sv_drift = float(np.max(np.abs(merged[:n] - s0[:n]) / s0[:n]))
-            if merged.size != s0.size:
-                sv_drift = max(sv_drift, 1.0)
-        else:
-            sv_drift = 0.0
+        sv_drift = float(np.max(np.abs(merged[:n] - s0[:n]) / s0[:n], initial=0.0))
+        if merged.size != s0.size:  # a value appeared or vanished, also where either side has none
+            sv_drift = max(sv_drift, 1.0)
         rows.append(ConservationRow(
             t=state.t,
             mass=mass,
             h_half_norm=h_half,
             rho=spec.rho,
             sigma=spec.sigma,
-            mass_drift=abs(mass - mass0) / mass0 if mass0 else 0.0,
-            h_half_drift=abs(h_half - h0) / h0 if h0 else 0.0,
+            mass_drift=abs(mass - mass0) / mass0 if mass0 else (np.inf if mass else 0.0),
+            h_half_drift=abs(h_half - h0) / h0 if h0 else (np.inf if h_half else 0.0),
             sv_drift_max=sv_drift,
         ))
     return rows

@@ -347,38 +347,35 @@ def u_via_toeplitz(p: GeometricParams, z: complex, r: float = DEFAULT_R, n: int 
 
     Solves the r-rescaled truncated system against (r^-j conj(omega)^(2j-1))
     and pairs with (r^k); the answer does not depend on r inside
-    (gamma, 1), which is itself a useful cross-check.  The LU of the solve proves the
-    EPS_TRUNC guard wherever it can (inverse._guarded_solve); elsewhere the SVD of
-    _min_singular_value decides, and the system is solved after it passes.
+    (gamma, 1), which is itself a useful cross-check.  inverse._guarded_solve decides
+    the EPS_TRUNC guard, as a condition ceiling of 1 / EPS_TRUNC.
     """
     t = _geometric_toeplitz(p, z, r, n)
     j = np.arange(1, n + 1, dtype=float)
     rhs = r ** (-j) * np.conj(p.omega) ** (2 * j - 1)
-    x = _guarded_solve(t, rhs, 1.0 / EPS_TRUNC)[0]
-    if x is None:
-        _min_singular_value(t, z)
-        x = np.linalg.solve(t, rhs)
+    x = _guarded_solve(t, rhs, 1.0 / EPS_TRUNC, lambda cond: _singular_truncation(t.shape[0], z))
     return complex(np.sum(x * r ** j))
 
 
-def _min_singular_value(t: np.ndarray, z: complex) -> float:
-    """Smallest singular value of a truncated Toeplitz matrix, which must not be singular."""
-    sv = np.linalg.svd(t, compute_uv=False)
-    if not sv[-1] >= EPS_TRUNC * sv[0] or not sv[-1] > 0:  # NaN and the all-zero section trip too
-        raise SingularTruncation(f"truncated Toeplitz matrix singular at n={t.shape[0]}, z={z}")
-    return float(sv[-1])
+def _singular_truncation(n: int, z: complex) -> SingularTruncation:
+    return SingularTruncation(f"truncated Toeplitz matrix singular at n={n}, z={z}")
 
 
 def stability_scan(p: GeometricParams, z: complex, r: float, n_list) -> list[tuple[int, float]]:
     """Spectral norm of the inverse truncated matrix per size N.
 
     A bounded, plateauing trend in N is the numerical certificate that the
-    full Toeplitz operator is invertible.
+    full Toeplitz operator is invertible.  Each section passes the EPS_TRUNC guard of
+    u_via_toeplitz, read from the one SVD that gives the norm.
     """
     out = []
     for n in n_list:
-        t = _geometric_toeplitz(p, z, r, int(n))
-        out.append((int(n), 1.0 / _min_singular_value(t, z)))
+        sv = np.linalg.svd(_geometric_toeplitz(p, z, r, int(n)), compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cond = sv[0] / sv[-1]
+        if not cond <= 1.0 / EPS_TRUNC:  # an all-zero section reads 0/0 = NaN and trips too
+            raise _singular_truncation(int(n), z)
+        out.append((int(n), 1.0 / float(sv[-1])))
     return out
 
 

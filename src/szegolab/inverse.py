@@ -14,6 +14,7 @@ closed-form first-moment identities for zero angles.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
@@ -223,37 +224,40 @@ def cauchy_neumann_factors(d: SpectralData):
     return d._factors.c, d._factors.p
 
 
-def _guarded_solve(m: np.ndarray, rhs: np.ndarray, ceiling: float):
-    """(x, bound) with x = m^(-1) rhs from one LU factorization of m, which also proves
-    cond_2(m) <= ceiling, or (None, bound) where it does not and an SVD must decide.
+def _guarded_solve(m: np.ndarray, rhs: np.ndarray, ceiling: float, fail) -> np.ndarray:
+    """x = m^(-1) rhs where cond_2(m) <= ceiling; elsewhere raises fail(cond_2(m)).
 
     One solve of m [rhs | I] gives x and X = m^(-1). Since ||A||_2 <= sqrt(||A||_1 ||A||_inf)
     for every A (Higham, Accuracy and Stability of Numerical Algorithms, ch. 6),
 
         bound = sqrt((||m||_1 ||X||_1) (||m||_inf ||X||_inf)) >= ||m||_2 ||X||_2,
 
-    the norms paired so that no product of two large norms overflows. x is returned only
-    where bound <= sqrt(ceiling). The computed X has relative error of about
-    n eps cond(m) g, g the pivot growth that the plain solve relies on being small:
+    the norms paired so that no product of two large norms overflows. Where
+    bound <= sqrt(ceiling), x is returned with no SVD. The computed X has relative error of
+    about n eps cond(m) g, g the pivot growth that the plain solve relies on being small:
     each column solves (m + E_j) X e_j = e_j with ||E_j|| <= n eps g ||m||, so
     m X = I - R with ||R|| <= sqrt(n) n eps g ||m|| ||X|| <= sqrt(n) n eps g sqrt(ceiling),
     far below 1/2 for ceiling <= 1e13 and n in the hundreds, and then
-    cond_2(m) <= ||m|| ||X|| / (1 - ||R||) <= 2 sqrt(ceiling) <= ceiling. A NaN or inf bound,
-    a singular LU, or a bound above sqrt(ceiling) returns None, so the caller's SVD guard
-    decides exactly where it decided before; x is then None and bound may be NaN.
+    cond_2(m) <= ||m|| ||X|| / (1 - ||R||) <= 2 sqrt(ceiling) <= ceiling. Elsewhere (a NaN or
+    inf bound, or a bound above sqrt(ceiling) near a singular m) the SVD decides: fail(cond)
+    is raised unless cond <= ceiling (NaN trips too), and x is the same column of the one
+    solve. A singular LU has no x and raises fail(cond) whatever cond reads.
     """
     n = m.shape[0]
     try:
         sol = np.linalg.solve(m, np.column_stack((rhs, np.eye(n))))
-    except np.linalg.LinAlgError:
-        return None, np.nan
-    x, inv = sol[:, 0], sol[:, 1:]
+    except np.linalg.LinAlgError as exc:
+        raise fail(np.linalg.cond(m)) from exc
     with np.errstate(over="ignore", invalid="ignore"):
-        am, ai = np.abs(m), np.abs(inv)
+        am, ai = np.abs(m), np.abs(sol[:, 1:])
         k1 = am.sum(axis=0).max() * ai.sum(axis=0).max()
         kinf = am.sum(axis=1).max() * ai.sum(axis=1).max()
-        bound = float(np.sqrt(k1 * kinf))
-    return (x if bound <= np.sqrt(ceiling) else None), bound
+    if np.sqrt(k1 * kinf) <= np.sqrt(ceiling):
+        return sol[:, 0]
+    cond = np.linalg.cond(m)
+    if not cond <= ceiling:
+        raise fail(cond)
+    return sol[:, 0]
 
 
 def reconstruct_point(d: SpectralData, z: complex, method: str = "neumann") -> complex:
@@ -262,22 +266,23 @@ def reconstruct_point(d: SpectralData, z: complex, method: str = "neumann") -> c
     Goes through the explicit C(0) inverse and solves the well-scaled
     system (I - z P) w = c, which holds up at dynamic ranges where a dense
     factorization of C(z) is unusable.  "neumann" is the only method.
-    The LU of the solve proves the EPS_COND guard wherever it can (_guarded_solve);
-    elsewhere the SVD decides, and the system is solved after it passes.
+    _guarded_solve decides the EPS_COND guard.
     """
     if method != "neumann":
         raise ValidationError(f"unknown method {method!r}")
     if not np.isfinite(z):  # a NaN or inf in I - z P reaches LAPACK, which fails or warns
         raise ValidationError(f"z must be finite, got {z}")
     c, p = cauchy_neumann_factors(d)
-    m = np.eye(d.n_pairs, dtype=complex) - z * p
-    w = _guarded_solve(m, c, EPS_COND)[0]
-    if w is None:
-        cond = np.linalg.cond(m)
-        if not np.isfinite(cond) or cond > EPS_COND:
-            raise SingularMatrix(f"cond(I - z P) = {cond:.3e} exceeds {EPS_COND:g} at z = {z}")
-        w = np.linalg.solve(m, c)
-    return complex(w.sum())
+    # the system is 2^-k (I - z P) w = c, formed exactly, with u = 2^-k sum(w): k > 0 where z P
+    # comes within 2^24 of overflow; max|P| is read only past |z| = 2^24, below which that
+    # would take an entry of P past 2^976
+    big = max(abs(z.real), abs(z.imag))
+    k = max(0, math.frexp(big)[1] + math.frexp(np.abs(p).max())[1] - 1000) if big > 2.0 ** 24 else 0
+    m = np.eye(d.n_pairs, dtype=complex) - z * p if k == 0 else (
+        np.ldexp(np.eye(d.n_pairs), -k) - complex(math.ldexp(z.real, -k), math.ldexp(z.imag, -k)) * p)
+    u = _guarded_solve(m, c, EPS_COND, lambda cond: SingularMatrix(
+        f"cond(I - z P) = {cond:.3e} exceeds {EPS_COND:g} at z = {z}")).sum()
+    return complex(math.ldexp(u.real, -k), math.ldexp(u.imag, -k))
 
 
 def taylor_coefficients(d: SpectralData, m: int) -> np.ndarray:

@@ -323,6 +323,8 @@ def _cap_address_space():
     # theta h = 7e307 is reduced mod 2 pi once; at h = 10 it overflows
     (["geometric", "--h", "0.7", "--theta", "1e308", "--out-dir", "{tmp}"], 0, "route_delta="),
     (["geometric", "--h", "10", "--theta", "1e308", "--out-dir", "{tmp}"], 2, "theta h finite"),
+    # nested past the recursion limit, where json.load raises RecursionError
+    (["certify", "--data", "{tmp}/nested.json"], 2, "nested.json: not valid JSON"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():
@@ -335,6 +337,7 @@ def test_exit_code_contract(tmp_path, argv, code, text):
                                             '{"s": 0.5, "psi": 0}]}')
     (tmp_path / "misspelt.json").write_text('{"pairs": [{"s": 1.0, "psi": 0, "sgima": 3}, '
                                             '{"s": 0.5, "psi": 0}]}')
+    (tmp_path / "nested.json").write_text("[" * 100000 + "]" * 100000)
     (tmp_path / "arabic.csv").write_text("n,re,im\n0,\u0661,0\n", encoding="utf-8")
     (tmp_path / "subnormal.csv").write_text("n,re,im\n0,3e-310,0\n1,1.5e-310,0\n")
     (tmp_path / "huge_tail.csv").write_text("n,re,im\n" + "".join(f"{n},{1e200 * 0.5 ** n!r},0\n"

@@ -283,6 +283,20 @@ def test_report_counts_a_change_in_the_number_of_values():
     assert conservation_report([]) == []
 
 
+def test_report_drift_from_or_to_the_zero_function():
+    # a change from or to the zero function is a drift, not 0
+    zero, nonzero = np.zeros(3), np.array([1.0, 0.5, 0.25])
+    for a, b in ((zero, nonzero), (nonzero, zero)):
+        states = [FlowState(HardyFunction(c), t, 0.5) for t, c in ((0.0, a), (0.5, b))]
+        rows = conservation_report(states)
+        assert rows[0].mass_drift == rows[0].h_half_drift == rows[0].sv_drift_max == 0.0
+        assert rows[1].sv_drift_max >= 1.0
+        if not a.any():
+            assert rows[1].mass_drift == rows[1].h_half_drift == np.inf
+        else:
+            assert rows[1].mass_drift == rows[1].h_half_drift == 1.0
+
+
 def test_l2_distance_pads():
     a = HardyFunction(np.array([1.0, 1.0]))
     b = HardyFunction(np.array([1.0]))

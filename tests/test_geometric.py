@@ -383,13 +383,23 @@ def test_stability_constant_symbol():
 
 def test_all_zero_section_trips_the_truncation_guard():
     # at h = log 2, omega = 1/2 exactly, so z = 2 makes c_0 = 1 - z omega = 0: the 1 x 1 section is 0,
-    # whose singular values pass sv[-1] >= EPS_TRUNC sv[0] as 0 >= 0
+    # whose condition number sigma_1 / sigma_n reads 0 / 0 = NaN and must trip
     p = GeometricParams(h=np.log(2.0))
     assert p.omega == 0.5
     with pytest.raises(SingularTruncation, match="n=1"):
         u_via_toeplitz(p, 2.0, 0.95, 1)
     with pytest.raises(SingularTruncation, match="n=1"):
         stability_scan(p, 2.0, 0.95, [1, 2])
+
+
+def test_toeplitz_point_near_a_singular_section_takes_the_svd(monkeypatch):
+    # here the LU bound is 7.0e6, above sqrt(1 / EPS_TRUNC) = 3.2e6, and cond(T) is 4.0e6, so the
+    # one SVD decides and passes
+    calls = []
+    cond = np.linalg.cond
+    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a) or cond(a))
+    assert u_via_toeplitz(GeometricParams(h=0.7), 1.0100948541176502, 0.95, 8) == -294.80116725757034
+    assert len(calls) == 1
 
 
 def test_toeplitz_route_rejects_non_finite_z(capfd):

@@ -219,34 +219,78 @@ def test_point_rejects_non_finite_z(capfd):
     assert capfd.readouterr().err == ""
 
 
-def _cond_calls(monkeypatch):
+def _calls(monkeypatch, name="cond"):
+    """Record each call of np.linalg.<name>."""
     calls = []
-    cond = np.linalg.cond
-    monkeypatch.setattr(np.linalg, "cond", lambda a: calls.append(a) or cond(a))
+    fn = getattr(np.linalg, name)
+    monkeypatch.setattr(np.linalg, name, lambda *a: calls.append(a) or fn(*a))
     return calls
 
 
 def test_point_values_far_out_take_no_svd(monkeypatch):
     # the two pairs of norms are about 1e308 and 1e-308 at z = -1e308 + 1e308j, so their
     # products are near 1, while ||m||_1 ||m||_inf alone overflows
-    calls = _cond_calls(monkeypatch)
+    calls, solves = _calls(monkeypatch), _calls(monkeypatch, "solve")
     d = SpectralData(np.array([1.0, 0.5, 0.2, 0.05]), np.zeros(4))
     assert reconstruct_point(d, 1e200) == -4.295454545454547e-200
     far = 2.1477272727272725e-308
     assert reconstruct_point(d, complex(-1e308, 1e308)) == complex(far, far)
-    assert calls == []
+    assert calls == [] and len(solves) == 2
+
+
+def _lu_bound(m, rhs):
+    """The bound of _guarded_solve, sqrt((||m||_1 ||X||_1) (||m||_inf ||X||_inf)), from the same
+    solve of m [rhs | I]; NaN where the LU is singular."""
+    try:
+        inv = np.linalg.solve(m, np.column_stack((rhs, np.eye(m.shape[0]))))[:, 1:]
+    except np.linalg.LinAlgError:
+        return np.nan
+    am, ai = np.abs(m), np.abs(inv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = am.sum(axis=0).max() * ai.sum(axis=0).max()
+        return np.sqrt(k1 * (am.sum(axis=1).max() * ai.sum(axis=1).max()))
 
 
 def test_point_near_a_pole_takes_the_svd(monkeypatch):
     # the pole of u nearest 0 is at 1 / lambda_1(P) = 1.2369323736...; here cond(I - z P) is
-    # 1.46e7 and the LU bound 2.04e7, above sqrt(EPS_COND), so the SVD decides and passes
-    calls = _cond_calls(monkeypatch)
+    # 1.46e7 and the LU bound 2.04e7, above sqrt(EPS_COND), so the SVD decides and passes, and
+    # w is column 0 of the one solve
     d = SpectralData(np.array([1.0, 0.5, 0.2, 0.05]), np.zeros(4))
     c, p = cauchy_neumann_factors(d)
-    x, bound = inverse_mod._guarded_solve(np.eye(2) - 1.2369323 * p, c, inverse_mod.EPS_COND)
-    assert x is None and 1e6 < bound < 1e12
+    assert 1e6 < _lu_bound(np.eye(2) - 1.2369323 * p, c) < 1e12
+    calls, solves = _calls(monkeypatch), _calls(monkeypatch, "solve")
     assert reconstruct_point(d, 1.2369323) == 3242966.8579624225
-    assert len(calls) == 1
+    assert len(calls) == 1 and len(solves) == 1
+
+
+def _u_mpmath(d, z, dps):
+    """u(z) = sum of C(z)^(-1) 1 by an mpmath LU solve at dps digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(dps):
+        a = [mp.mpf(float(v)) * mp.expj(mp.mpf(float(t))) for v, t in zip(d.s, d.psi)]
+        x = [mp.mpf(float(v)) ** 2 for v in d.s]
+        n, zz = d.n_pairs, mp.mpc(complex(z))
+        c = mp.matrix([[(a[2 * j] - zz * a[2 * k + 1]) / (x[2 * j] - x[2 * k + 1]) for k in range(n)]
+                       for j in range(n)])
+        return complex(mp.fsum(mp.lu_solve(c, mp.matrix([1] * n))))
+
+
+def test_point_at_the_top_of_the_double_range(capfd, monkeypatch):
+    # at z = 1e308, z P or the SVD of I - z P overflows on 27 of these data sets (LAPACK prints
+    # DLASCL errors on stdout for some), although each system is well conditioned once z is
+    # factored out; 2^-k (I - z P) keeps its entries 2^24 below overflow
+    calls = _calls(monkeypatch)
+    rng = np.random.default_rng(11)
+    for i in range(200):
+        n = int(rng.integers(1, 21))
+        s = np.concatenate([[1.0], np.cumprod(rng.uniform(0.05, 0.9, 2 * n - 1))])
+        d = SpectralData(s, rng.uniform(0.0, 2.0 * np.pi, 2 * n))
+        u = reconstruct_point(d, 1e308)
+        if i < 20:  # forward error of the solve: eps cond(I/z - P), plus the subnormal spacing
+            ref = _u_mpmath(d, 1e308, 80)
+            sv = np.linalg.svd(cauchy_neumann_factors(d)[1], compute_uv=False)
+            assert abs(u - ref) <= 4 * (np.finfo(float).eps * sv[0] / sv[-1] * abs(ref) + 2.0 ** -1074)
+    assert calls == [] and capfd.readouterr().out == ""  # the LU proved every guard
 
 
 @st.composite
@@ -280,16 +324,23 @@ def test_guarded_solve_passes_only_what_the_svd_passes(system):
     from szegolab.geometric import EPS_TRUNC
     m, rhs = system
     n = m.shape[0]
-    cond = np.linalg.cond(m)
+    cond, bound = np.linalg.cond(m), _lu_bound(m, rhs)
     for ceiling in (inverse_mod.EPS_COND, 1.0 / EPS_TRUNC):
-        x, bound = inverse_mod._guarded_solve(m, rhs, ceiling)
-        if x is None:  # the SVD guard decides, as before
-            assert not bound <= np.sqrt(ceiling)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _calls(mp)
+            try:
+                x = inverse_mod._guarded_solve(m, rhs, ceiling, SingularMatrix)
+            except SingularMatrix as exc:  # the SVD decided, with the cond it reports
+                assert not cond <= ceiling and np.array_equal(exc.args[0], cond, equal_nan=True)
+                x = None
+        # the SVD runs exactly where the LU bound does not prove the guard
+        assert len(calls) == (0 if bound <= np.sqrt(ceiling) else 1)
+        if x is None:
             continue
         assert cond <= ceiling
-        # equal in exact arithmetic for a permuted diagonal m; each side carries rounding of
-        # about n eps cond relative
-        assert cond <= bound * (1.0 + 4 * n * np.finfo(float).eps * bound)
+        if not calls:  # equal in exact arithmetic for a permuted diagonal m; each side carries
+            # rounding of about n eps cond relative
+            assert cond <= bound * (1.0 + 4 * n * np.finfo(float).eps * bound)
         assert np.array_equal(x, np.linalg.solve(m, rhs))
 
 
