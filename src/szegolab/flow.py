@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupDetected, ValidationError
-from .hankel import pair_singular_values
-from .hardy import HardyFunction, _padded, sobolev_norm
+from .hankel import _check_tail, _relative_gap, pair_singular_values
+from .hardy import HardyFunction, _padded, _square_sum, sobolev_norm
 from .inverse import SpectralData, reconstruct_function
 
 MASS_DRIFT_LIMIT = 0.01  # largest tolerated relative mass drift along a trajectory
@@ -56,7 +56,15 @@ def _cubic_rhs(m: int):
     ``rhs(x, out, h)`` copies x into the head (nothing to copy when x is the
     head) and writes h P(|x|^2 x) into out, allocating no array.  Each caller
     builds its own kernel, so concurrent calls share nothing.
+
+    The two transforms call the pocketfft gufuncs that np.fft.ifft and np.fft.fft end in,
+    with the factors those wrappers pass for norm="forward" (1 for the ifft, 1/(2m) for the
+    fft), so the bits are the same without the wrappers' per-call argument handling. The
+    module is imported here, so a process that never integrates never loads numpy.fft.
     """
+    from numpy.fft import _pocketfft_umath as pfu
+
+    scale = 1.0 / (2 * m)
     pad = np.zeros(2 * m, dtype=complex)
     vals = np.empty(2 * m, dtype=complex)
     cubic = np.empty(2 * m, dtype=complex)
@@ -66,11 +74,11 @@ def _cubic_rhs(m: int):
     def rhs(x: np.ndarray, out: np.ndarray, h: complex) -> None:
         if x is not head:
             np.copyto(head, x)
-        np.fft.ifft(pad, norm="forward", out=vals)      # values at the nodes, unscaled
+        pfu.ifft(pad, 1.0, out=vals)                   # values at the nodes, unscaled
         np.conjugate(vals, out=cubic)
         np.multiply(cubic, vals, out=cubic)
         np.multiply(cubic, vals, out=cubic)            # |v|^2 v
-        np.fft.fft(cubic, norm="forward", out=spec)     # scaled by 1/(2m)
+        pfu.fft(cubic, scale, out=spec)                # scaled by 1/(2m)
         np.multiply(spec_head, h, out=out)
 
     return rhs, head
@@ -82,6 +90,8 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
 
     The step count T / dt is rounded so the samples land on exact step multiples,
     and a count above MAX_STEPS (an infinite one included) is invalid input;
+    u0 is cut to its first m coefficients, so the trace of the rest must pass the
+    TAIL_RTOL test of pair_singular_values (InsufficientTruncation otherwise);
     mass is checked after every step because the flow conserves it exactly,
     and a drift beyond MASS_DRIFT_LIMIT aborts with BlowupDetected.
     """
@@ -91,6 +101,7 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
     steps = t_final / dt
     if not steps <= MAX_STEPS:
         raise ValidationError(f"T / dt = {steps:.3g} steps, more than MAX_STEPS = {MAX_STEPS}")
+    _check_tail(u0, m)
     c = _padded(u0.coeffs, m)
     sup = float(np.abs(np.fft.ifft(c, n=4 * m) * 4 * m).max())
     # compared as |u| <= sqrt(0.1 / dt) so huge data cannot overflow the check;
@@ -164,17 +175,21 @@ def conservation_report(trajectory: list[FlowState]) -> list[ConservationRow]:
 
     From a zero reference a drift reads 0 only while the value stays zero, and inf otherwise;
     a change in the number of singular values, to or from none included, reads at least 1.
+    The mass and its drift come from one power-of-two square sum (hardy._square_sum), so the
+    drift is the same at every scale of the data, and a mass past the double range reads inf.
     """
     rows = []
     ref = None
     for state in trajectory:
-        mass = sobolev_norm(state.u, 0.0) ** 2
+        sq = _square_sum(state.u.coeffs, 1.0)
+        with np.errstate(over="ignore"):
+            mass = float(np.ldexp(sq[0], 2 * sq[1]))
         h_half = sobolev_norm(state.u, 0.5)
         spec = pair_singular_values(state.u, len(state.u))
         merged = spec.merged()
         if ref is None:
-            ref = (mass, h_half, merged)
-        mass0, h0, s0 = ref
+            ref = (sq, h_half, merged)
+        sq0, h0, s0 = ref
         n = min(merged.size, s0.size)
         sv_drift = float(np.max(np.abs(merged[:n] - s0[:n]) / s0[:n], initial=0.0))
         if merged.size != s0.size:  # a value appeared or vanished, also where either side has none
@@ -185,7 +200,7 @@ def conservation_report(trajectory: list[FlowState]) -> list[ConservationRow]:
             h_half_norm=h_half,
             rho=spec.rho,
             sigma=spec.sigma,
-            mass_drift=abs(mass - mass0) / mass0 if mass0 else (np.inf if mass else 0.0),
+            mass_drift=_relative_gap(sq, sq0),
             h_half_drift=abs(h_half - h0) / h0 if h0 else (np.inf if h_half else 0.0),
             sv_drift_max=sv_drift,
         ))

@@ -64,6 +64,21 @@ def tail_mass(u: HardyFunction, m: int) -> float:
     return float(np.ldexp(t, 2 * e))
 
 
+@np.errstate(over="ignore")
+def _check_tail(u: HardyFunction, m: int) -> tuple[float, int]:
+    """The tail's (t, e) from _tail_sum once the trace at n >= m is at most TAIL_RTOL of the
+    total; InsufficientTruncation otherwise."""
+    t, et = _tail_sum(u, m)
+    total, e = _square_sum(u.coeffs, np.arange(1.0, len(u) + 1))
+    # et <= e: the tail on the total's power of two can only underflow, below any total's
+    # TAIL_RTOL; the total is 0 only for the zero function, whose tail is 0 too
+    tm = np.ldexp(t, 2 * (et - e))
+    if not tm <= TAIL_RTOL * total:
+        raise InsufficientTruncation(f"tail mass {np.ldexp(t, 2 * et):.3e} is {tm / total:.3e} "
+                                     f"of the total trace, above {TAIL_RTOL:g}; increase m={m}")
+    return t, et
+
+
 def _merge_close(vals: np.ndarray, tau: float) -> np.ndarray:
     """Collapse runs of values within tau of the largest (descending input) to their mean:
     a new run starts where a value lies more than tau * vals[0] below the one before."""
@@ -187,14 +202,7 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     """
     v, e = _pow2_scaled(u.coeffs)
     h = _hankel_rows(v, m)
-    t, et = _tail_sum(u, m)
-    tm = np.ldexp(t, 2 * (et - e))  # et <= e: it can only underflow, below any total's TAIL_RTOL
-    # max |v_hat| lies in [1/2, 1), so v_hat's own power of two is 2^0; the total is 0 only
-    # for the zero function, whose tm is 0 too
-    total = _square_sum(v, np.arange(1.0, len(u) + 1))[0]
-    if not tm <= TAIL_RTOL * total:
-        raise InsufficientTruncation(f"tail mass {np.ldexp(t, 2 * et):.3e} is {tm / total:.3e} "
-                                     f"of the total trace, above {TAIL_RTOL:g}; increase m={m}")
+    t, et = _check_tail(u, m)
     a = np.abs(v[:2 * m])  # |v_hat(0..2m-1)|: the zeros past the support add nothing below
     dropped = np.cumsum(a[::-1])[::-1]  # dropped[k] = sum of a[k:]
     k = min(m, max(1, np.count_nonzero(dropped > np.finfo(float).eps * np.hypot.reduce(a[:m]))))

@@ -243,6 +243,7 @@ CONTRACT_DATA = {
     "underflow.json": [1.0, 0.5, 1e-170, 1e-170 * (1 - 1e-15)],  # squares underflow to 0
     "wide.json": [1e300, 1e-300],                      # the ratio underflows to delta = 0
     "tiny.json": [2e-170, 1e-170, 5e-171, 2.5e-171],   # a product s_r s_(r+1) underflows to 0
+    "big.json": [1e200, 5e199],                        # ||u||^2 overflows
 }
 
 
@@ -325,6 +326,9 @@ def _cap_address_space():
     (["geometric", "--h", "10", "--theta", "1e308", "--out-dir", "{tmp}"], 2, "theta h finite"),
     # nested past the recursion limit, where json.load raises RecursionError
     (["certify", "--data", "{tmp}/nested.json"], 2, "nested.json: not valid JSON"),
+    # the conservation CSV writes a mass past the double range as inf
+    (["flow", "--data", "{tmp}/big.json", "--T", "0", "--dt", "5e-324", "--modes", "8", "--out", "{tmp}/t.csv"],
+     0, "samples=1"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():

@@ -5,8 +5,8 @@ import threading
 import numpy as np
 import pytest
 
-from szegolab import (BlowupDetected, FlowState, HardyFunction, SpectralData, ValidationError,
-                      compare_flows, conservation_report, integrate, l2_distance,
+from szegolab import (BlowupDetected, FlowState, HardyFunction, InsufficientTruncation, SpectralData,
+                      ValidationError, compare_flows, conservation_report, integrate, l2_distance,
                       reconstruct_function, spectral_evolve, szego_rhs)
 
 FLOW_N1 = SpectralData(np.array([0.95, 0.55]), np.array([0.3, 1.1]))
@@ -72,6 +72,17 @@ def test_rhs_matches_convolution_oracle():
     assert np.abs(got - want).max() < 1e-12 * max(1.0, np.abs(want).max())
 
 
+@pytest.mark.parametrize("m", [1, 2, 7, 100, 128, 129, 300])
+def test_rhs_is_bitwise_the_public_fft_route(m):
+    # the kernel calls the pocketfft gufuncs behind np.fft directly; a numpy whose private
+    # gufunc stops matching these public calls fails here rather than drifting
+    rng = np.random.default_rng(m)
+    c = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    vals = np.fft.ifft(np.concatenate((c, np.zeros(m))), norm="forward")
+    want = np.fft.fft(np.conjugate(vals) * vals * vals, norm="forward")[:m] * -1j
+    assert szego_rhs(HardyFunction(c)).coeffs.tobytes() == want.tobytes()
+
+
 # --- integrator -------------------------------------------------------------------
 
 def test_constant_solution_order4():
@@ -120,6 +131,16 @@ def test_step_validation():
     for t_final, dt in ((1.0, 5e-324), (1.0, 1e-300), (1.0, 1e-12), (1.0001, 1e-7)):
         with pytest.raises(ValidationError, match="more than MAX_STEPS"):
             integrate(HardyFunction(np.array([1.0])), t_final, dt, 4)
+
+
+def test_integrate_checks_the_coefficients_it_drops():
+    # at m = 2 only (1, .5) is integrated: mass 1.25 of the 2.14 in u0
+    with pytest.raises(InsufficientTruncation, match="increase m=2"):
+        integrate(HardyFunction(np.array([1, .5, .25, .125, .9])), 0.1, 1e-2, 2)
+    # a tail within TAIL_RTOL of the trace is cut as before
+    cut = integrate(HardyFunction(np.array([1, .5, 1e-8])), 0.1, 1e-2, 2, n_samples=3)
+    plain = integrate(HardyFunction(np.array([1, .5])), 0.1, 1e-2, 2, n_samples=3)
+    assert [s.u.coeffs.tobytes() for s in cut] == [s.u.coeffs.tobytes() for s in plain]
 
 
 def test_blowup_guard_trips_on_corrupted_rhs(monkeypatch):
@@ -295,6 +316,19 @@ def test_report_drift_from_or_to_the_zero_function():
             assert rows[1].mass_drift == rows[1].h_half_drift == np.inf
         else:
             assert rows[1].mass_drift == rows[1].h_half_drift == 1.0
+
+
+@pytest.mark.parametrize("k", [600, -600])
+def test_report_drifts_are_the_same_at_every_scale(k):
+    # ||u||^2 leaves the double range at 2^+-600 times this data, ||u|| and the values do not
+    traj = integrate(reconstruct_function(FLOW_N1, 32), 0.5, 2e-2, 32, n_samples=5)
+    scaled = [FlowState(HardyFunction(np.ldexp(s.u.coeffs.view(float), k).view(complex)), s.t, s.dt)
+              for s in traj]
+    rows, rows_k = conservation_report(traj), conservation_report(scaled)
+    assert rows[-1].mass_drift > 0
+    drifts = lambda r: (r.mass_drift, r.h_half_drift, r.sv_drift_max)
+    assert [drifts(r) for r in rows_k] == [drifts(r) for r in rows]
+    assert all(r.mass == (np.inf if k > 0 else 0.0) for r in rows_k)
 
 
 def test_l2_distance_pads():
