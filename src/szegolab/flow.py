@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import BlowupDetected, ValidationError
 from .hankel import _check_tail, _relative_gap, pair_singular_values
-from .hardy import HardyFunction, _padded, _square_sum, sobolev_norm
+from .hardy import HardyFunction, _padded, _pow2_scaled, _square_sum, sobolev_norm
 from .inverse import SpectralData, reconstruct_function
 
 MASS_DRIFT_LIMIT = 0.01  # largest tolerated relative mass drift along a trajectory
@@ -35,22 +35,12 @@ def spectral_evolve(d: SpectralData, t: float) -> SpectralData:
     return SpectralData(d.s, np.mod(d.psi + t * d.s ** 2, 2.0 * np.pi))
 
 
-def szego_rhs(u: HardyFunction) -> HardyFunction:
-    """-i P(|u|^2 u), evaluated on K = 2M nodes for an M-mode u.
-
-    The modes of |u|^2 u lie in [-(M-1), 2(M-1)].  On K nodes a kept mode
-    i < M aliases only from i +- K, i +- 2K, ..., all outside that range once
-    K >= 2M - 1 (i + K >= 2M - 1 and i - K <= -M), so K = 2M is alias-free.
-    """
-    rhs, _ = _cubic_rhs(len(u))
-    out = np.empty(len(u), dtype=complex)
-    rhs(u.coeffs, out, -1j)
-    return HardyFunction(out)
-
-
 def _cubic_rhs(m: int):
     """Kernel for h P(|x|^2 x) on m modes, and the padded head it reads its input from.
 
+    The modes of |x|^2 x lie in [-(m-1), 2(m-1)].  On K nodes a kept mode
+    i < m aliases only from i +- K, i +- 2K, ..., all outside that range once
+    K >= 2m - 1 (i + K >= 2m - 1 and i - K <= -m), so K = 2m is alias-free.
     The kernel owns its 2m-node work arrays: a zero-padded input whose upper
     half stays zero, the node values, the cubic term and the spectrum.
     ``rhs(x, out, h)`` copies x into the head (nothing to copy when x is the
@@ -93,7 +83,9 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
     u0 is cut to its first m coefficients, so the trace of the rest must pass the
     TAIL_RTOL test of pair_singular_values (InsufficientTruncation otherwise);
     mass is checked after every step because the flow conserves it exactly,
-    and a drift beyond MASS_DRIFT_LIMIT aborts with BlowupDetected.
+    and a drift beyond MASS_DRIFT_LIMIT aborts with BlowupDetected. A step, and the
+    dt |u|^2 <= 0.1 check before the first, run on u scaled by a power of two to
+    max |u_hat| in [1/2, 1); a zero-length run takes no step and skips the check.
     """
     if not (0 < dt < np.inf and 0 <= t_final < np.inf and m >= 1 and n_samples >= 2):  # NaN fails too
         raise ValidationError(f"need finite dt > 0, t_final >= 0, m >= 1, n_samples >= 2, "
@@ -102,22 +94,29 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
     if not steps <= MAX_STEPS:
         raise ValidationError(f"T / dt = {steps:.3g} steps, more than MAX_STEPS = {MAX_STEPS}")
     _check_tail(u0, m)
-    c = _padded(u0.coeffs, m)
-    sup = float(np.abs(np.fft.ifft(c, n=4 * m) * 4 * m).max())
-    # compared as |u| <= sqrt(0.1 / dt) so huge data cannot overflow the check;
-    # sampled on 4M nodes, not the RHS's 2M, since a coarser sample misses more of the peak
-    if not sup <= np.sqrt(0.1 / dt):
-        raise ValidationError(f"dt = {dt:g} too large for max |u| = {sup:.3g} (dt |u|^2 <= 0.1)")
-
+    # v = 2^-e u with dt 4^e: u -> 2^k u, t -> 4^-k t maps solutions to solutions, and a power
+    # of two scales every product and sum of a step exactly, so the bits are those of u
+    # wherever nothing over- or underflows
+    c, e = _pow2_scaled(_padded(u0.coeffs, m))
     n_steps = max(int(round(steps)), 1) if t_final > 0 else 0
+    if n_steps:
+        # dt |v|^2 4^e <= 0.1 with |v| sampled on 4M nodes, not the RHS's 2M, since a coarser
+        # sample misses more of the peak; a dt 4^e past the double range reads inf and fails,
+        # one below it reads 0 and passes
+        sup = float(np.abs(np.fft.ifft(c, n=4 * m) * 4 * m).max())
+        with np.errstate(over="ignore", divide="ignore"):
+            if not sup <= np.sqrt(0.1 / np.ldexp(dt, 2 * e)):
+                raise ValidationError(f"dt = {dt:g} too large for max |u| = {np.ldexp(sup, e):.3g} "
+                                      f"(dt |u|^2 <= 0.1)")
     dt_eff = t_final / n_steps if n_steps else dt
     sample_at = set(np.linspace(0, n_steps, min(n_samples, n_steps + 1)).astype(int).tolist())
     rhs, stage = _cubic_rhs(m)
     k1, k2, k3, k4 = (np.empty(m, dtype=complex) for _ in range(4))
-    h = -1j * dt_eff
+    # dt_eff 4^e < 0.6 past the check, since dt_eff < 1.5 dt and sup >= |v|_2 >= 1/2
+    h = -1j * float(np.ldexp(dt_eff, 2 * e)) if n_steps else 0j
     half = 0.5 * h
     mass0 = np.vdot(c, c).real
-    out = [FlowState(HardyFunction(c), t=0.0, dt=dt_eff)]
+    out = [_state(c, e, 0.0, dt_eff)]
     for step in range(1, n_steps + 1):
         # k_j = (h/2) f_j, except k3 = h f3, the step to the last stage;
         # the stage inputs go straight into the kernel's padded head
@@ -137,11 +136,18 @@ def integrate(u0: HardyFunction, t_final: float, dt: float, m: int,
         np.add(c, k1, out=c)
         mass = np.vdot(c, c).real
         if not abs(mass - mass0) <= MASS_DRIFT_LIMIT * mass0:  # NaN trips too
-            raise BlowupDetected(
-                f"mass drifted from {mass0:.6e} to {mass:.6e} at t = {step * dt_eff:.6g}")
+            with np.errstate(over="ignore"):
+                raise BlowupDetected(f"mass drifted from {np.ldexp(mass0, 2 * e):.6e} to "
+                                     f"{np.ldexp(mass, 2 * e):.6e} at t = {step * dt_eff:.6g}")
         if step in sample_at:
-            out.append(FlowState(HardyFunction(c), t=step * dt_eff, dt=dt_eff))
+            out.append(_state(c, e, step * dt_eff, dt_eff))
     return out
+
+
+@np.errstate(over="ignore")  # a value past the double range reads inf, which HardyFunction rejects
+def _state(c: np.ndarray, e: int, t: float, dt: float) -> FlowState:
+    """The sample 2^e c at time t, in the caller's units."""
+    return FlowState(HardyFunction(np.ldexp(c.view(float), e).view(complex)), t=t, dt=dt)
 
 
 def l2_distance(u: HardyFunction, v: HardyFunction) -> float:

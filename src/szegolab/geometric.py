@@ -303,22 +303,6 @@ def zero_gap(gamma: float) -> ZeroGapReport:
                          gap=gap, poisson_bound=poisson_gap_bound(gamma))
 
 
-def fhat_closed_form(gamma: float, theta_angle: float, xi: float) -> float:
-    """Fourier transform of the gap integrand: a ratio of cosh factors.
-
-    Evaluates (pi / 2|log gamma|) cosh((pi - theta) xi / 2 log gamma) /
-    cosh(pi xi / 2 log gamma) in overflow-safe exponential form.
-    """
-    lg = _log_nome(gamma)
-    if not (0.0 < theta_angle < 2.0 * math.pi):
-        raise ValidationError(f"theta_angle must be in (0, 2 pi), got {theta_angle}")
-    a = abs((math.pi - theta_angle) * xi / (2.0 * lg))
-    b = abs(math.pi * xi / (2.0 * lg))
-    # cosh(a)/cosh(b) = e^(a-b) (1 + e^(-2a)) / (1 + e^(-2b))
-    ratio = math.exp(a - b) * (1.0 + math.exp(-2.0 * a)) / (1.0 + math.exp(-2.0 * b))
-    return (math.pi / (2.0 * lg)) * ratio
-
-
 # --- truncated Toeplitz machinery ----------------------------------------
 
 

@@ -12,8 +12,7 @@ with R = H - B Q* = H (I - Q Q*) and A, A_B, R_A the same rows of H, B, R,
 A A* = A_B A_B* + R_A R_A*, so 0 <= s_j(A)^2 - s_j(A_B)^2 <= ||R||^2 for every j,
 and s_j(A) <= ||R|| past the sketch width; pair_singular_values states the two
 conditions on ||R||_F that turn this into the eps * s_1 contract of the trim, all on
-u_hat times the power of two that brings max |u_hat| into [1/2, 1). H H* serves the
-rank-one identity only.
+u_hat times the power of two that brings max |u_hat| into [1/2, 1).
 """
 
 from __future__ import annotations
@@ -38,16 +37,6 @@ def _hankel_rows(c: np.ndarray, m: int) -> np.ndarray:
     if m < 1:
         raise ValidationError(f"matrix size must be >= 1, got {m}")
     return np.lib.stride_tricks.sliding_window_view(_padded(c, 2 * m), m)
-
-
-def hankel_matrix(u: HardyFunction, m: int) -> np.ndarray:
-    """A[n, p] = u_hat(n + p), entries beyond the coefficient support are 0."""
-    return _hankel_rows(u.coeffs, m)[:-1].copy()
-
-
-def shifted_hankel_matrix(u: HardyFunction, m: int) -> np.ndarray:
-    """A[n, p] = u_hat(n + p + 1)."""
-    return _hankel_rows(u.coeffs, m)[1:].copy()
 
 
 def _tail_sum(u: HardyFunction, m: int) -> tuple[float, int]:
@@ -220,30 +209,3 @@ def _relative_gap(lhs: tuple[float, int], rhs: tuple[float, int]) -> float:
         return 0.0 if t == 0 else np.inf
     with np.errstate(over="ignore"):
         return float(abs(np.ldexp(t / tr, 2 * (e - er)) - 1.0))
-
-
-def check_trace_identity(u: HardyFunction, spectrum: HankelSpectrum) -> float:
-    """|sum rho_j^2 - ||u||^2| / ||u||^2 in the H^(1/2) norm; zero up to tail mass and roundoff.
-    Relative, since at |u_hat| near 1e200 or 1e-200 the absolute residual leaves the double range."""
-    return _relative_gap(_square_sum(spectrum.rho, 1.0), _square_sum(u.coeffs, np.arange(1.0, len(u) + 1)))
-
-
-def check_rank_one_identity(u: HardyFunction, m: int) -> float:
-    """Entrywise residual of (shifted Gram) = (Gram) - outer(u_hat, u_hat).
-
-    Measured on the top-left m/2 block where truncation edge effects vanish
-    for coefficients supported in [0, m/2].
-    """
-    h = _hankel_rows(u.coeffs, m)
-    g = h @ h.conj().T
-    c = h[0]  # u_hat(0..m-1)
-    resid = g[1:, 1:] - g[:-1, :-1] + np.outer(c, c.conj())
-    half = max(m // 2, 1)
-    return float(np.abs(resid[:half, :half]).max())
-
-
-def sum_rule_residual(u: HardyFunction, spectrum: HankelSpectrum) -> float:
-    """|sum of all s_r^2 - sum (1+2n)|u_hat(n)|^2|, the two-operator trace identity, relative
-    to the second sum, as check_trace_identity is."""
-    return _relative_gap(_square_sum(np.concatenate((spectrum.rho, spectrum.sigma)), 1.0),
-                         _square_sum(u.coeffs, np.arange(1.0, 2 * len(u), 2)))

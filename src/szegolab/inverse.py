@@ -143,24 +143,6 @@ def _check_denominators(d: SpectralData) -> None:
             f"|s_{r + 1}^2 - s_{r + 2}^2| cancels to {rel[r]:.3e} relative, below {EPS_DEN:g}")
 
 
-def build_c_matrix(d: SpectralData, z: complex) -> np.ndarray:
-    """The N x N reconstruction matrix at evaluation point z."""
-    a = d.s_odd * np.exp(1j * d.psi_odd)
-    b = d.s_even * np.exp(1j * d.psi_even)
-    den = d.s_odd[:, None] ** 2 - d.s_even[None, :] ** 2
-    return (a[:, None] - z * b[None, :]) / den
-
-
-def build_cdot_matrix(d: SpectralData) -> np.ndarray:
-    """Entry (j, k) = s_even_k e^(i psi_even_k) / (s_odd_j^2 - s_even_k^2).
-
-    Built from its own entry formula, not by differencing C(0) and C(z).
-    """
-    b = d.s_even * np.exp(1j * d.psi_even)
-    den = d.s_odd[:, None] ** 2 - d.s_even[None, :] ** 2
-    return b[None, :] / den
-
-
 def _log_abs_diff(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
     """log|e^la - e^lb| computed from the logs, safe for huge dynamic range."""
     hi = np.maximum(la, lb)
@@ -174,8 +156,8 @@ def _build_factors(d: SpectralData) -> _Factors:
 
     Entries are formed from log magnitudes, and P = C(0)^(-1) Cdot is one
     product whose factors cannot overflow: the left one, |C(0)^(-1)[k, j]|
-    / s_odd_j, stays at or below B_delta / (1 - delta^2) by the entry bound
-    that entry_bound_table checks, and the right one, s_odd_j s_even_l /
+    / s_odd_j, stays at or below B_delta / (1 - delta^2) by the explicit entry
+    bound (times a power of delta, at most 1), and the right one, s_odd_j s_even_l /
     |s_odd_j^2 - s_even_l^2| = q / (1 - q^2) with q < 1 the pair ratio
     that EPS_DEN guards, at or below 1 / EPS_DEN.
     """
@@ -203,16 +185,6 @@ def _build_factors(d: SpectralData) -> _Factors:
     for a in out:
         a.flags.writeable = False
     return out
-
-
-def cauchy_inverse_c0(d: SpectralData) -> np.ndarray:
-    """Closed-form inverse of C(0) via products of squared-value differences,
-    read-only and shared.
-
-    Products are accumulated in log space so the formula stays usable for
-    strongly decaying data where a dense solve has nothing left to offer.
-    """
-    return d._factors.cinv
 
 
 def cauchy_neumann_factors(d: SpectralData):
@@ -382,24 +354,6 @@ def operator_bounds(d: SpectralData) -> OperatorBounds:
     )
 
 
-def entry_bound_table(d: SpectralData):
-    """Per-cell diagnostic for the explicit inverse entry bounds.
-
-    Returns (abs_entries, bounds, ok) arrays indexed (row k, column j); the
-    bound pattern is delta^(2(k-j)) above the diagonal, 1 on j in {k, k+1},
-    and delta^(2(j-k-1)) below.  Valid whenever every consecutive ratio is
-    at most delta.
-    """
-    delta = d.delta()
-    n = d.n_pairs
-    abs_entries = np.abs(d._factors.cinv)
-    jj, kk = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1))
-    pattern = np.where(jj < kk, delta ** (2.0 * (kk - jj)),
-                       np.where(jj <= kk + 1, 1.0, delta ** (2.0 * (jj - kk - 1))))
-    bounds = (b_delta(delta) / (1.0 - delta ** 2)) * d.s_odd[jj - 1] * pattern
-    return abs_entries, bounds, abs_entries <= bounds
-
-
 # --- zero-angle closed forms -------------------------------------------
 
 
@@ -438,26 +392,3 @@ def c1_lower_bound(d: SpectralData) -> C1LowerBounds:
         corollary=float(np.sum(sig * ((rho + sig) / (rho - sig)))),
         pairs_sum=float(np.sum(sig * (rho / (rho - sig)))),
     )
-
-
-def cauchy_ones_solve(rho: np.ndarray, sigma: np.ndarray):
-    """Closed-form solves of C x = 1 and C^T y = 1 for C[j, k] = 1/(rho_j + sigma_k).
-
-    x_k = prod_l (rho_l + sigma_k) / (sigma_k - sigma_l) and y_j = prod_l (rho_j + sigma_l) /
-    (rho_j - rho_l), the l = k (l = j) denominator read as 1.  Taken apart, the numerator and
-    denominator products both scale like s^N and underflow to 0/0 for s_r = delta^r.
-    """
-    rho = np.asarray(rho, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if rho.size != sigma.size or rho.size == 0:
-        raise ValidationError("rho and sigma must have equal positive length")
-    merged = np.empty(2 * rho.size)
-    merged[0::2] = rho
-    merged[1::2] = sigma
-    if not np.all(merged[:-1] > merged[1:]):
-        raise DegenerateSpectrum("rho and sigma must strictly interlace")
-    num = rho[:, None] + sigma  # [l, k] = rho_l + sigma_k
-    diag = np.eye(rho.size, dtype=bool)
-    x = np.prod(num / np.where(diag, 1.0, sigma - sigma[:, None]), axis=0)
-    y = np.prod(num / np.where(diag, 1.0, rho[:, None] - rho), axis=1)
-    return x, y

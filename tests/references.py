@@ -1,0 +1,119 @@
+"""Reference formulas and identity checks the tests compare the package against.
+
+Dense reconstruction matrices, the explicit entry bounds of C(0)^(-1), closed-form Cauchy
+solves, the Hankel trace, sum-rule and rank-one identities and the closed-form Fourier
+transform of the gap integrand. Independent of the routes the package computes by, so the
+tests can compare the two; not part of the package.
+"""
+
+import math
+
+import numpy as np
+
+from szegolab import (DegenerateSpectrum, HankelSpectrum, HardyFunction, SpectralData,
+                      ValidationError, b_delta)
+from szegolab.geometric import _log_nome
+from szegolab.hankel import _hankel_rows, _relative_gap
+from szegolab.hardy import _square_sum
+
+
+def build_c_matrix(d: SpectralData, z: complex) -> np.ndarray:
+    """The N x N reconstruction matrix at evaluation point z."""
+    a = d.s_odd * np.exp(1j * d.psi_odd)
+    b = d.s_even * np.exp(1j * d.psi_even)
+    den = d.s_odd[:, None] ** 2 - d.s_even[None, :] ** 2
+    return (a[:, None] - z * b[None, :]) / den
+
+
+def build_cdot_matrix(d: SpectralData) -> np.ndarray:
+    """Entry (j, k) = s_even_k e^(i psi_even_k) / (s_odd_j^2 - s_even_k^2).
+
+    Built from its own entry formula, not by differencing C(0) and C(z).
+    """
+    b = d.s_even * np.exp(1j * d.psi_even)
+    den = d.s_odd[:, None] ** 2 - d.s_even[None, :] ** 2
+    return b[None, :] / den
+
+
+def entry_bound_table(d: SpectralData):
+    """Per-cell diagnostic for the explicit inverse entry bounds.
+
+    Returns (abs_entries, bounds, ok) arrays indexed (row k, column j); the
+    bound pattern is delta^(2(k-j)) above the diagonal, 1 on j in {k, k+1},
+    and delta^(2(j-k-1)) below.  Valid whenever every consecutive ratio is
+    at most delta.
+    """
+    delta = d.delta()
+    n = d.n_pairs
+    abs_entries = np.abs(d._factors.cinv)
+    jj, kk = np.meshgrid(np.arange(1, n + 1), np.arange(1, n + 1))
+    pattern = np.where(jj < kk, delta ** (2.0 * (kk - jj)),
+                       np.where(jj <= kk + 1, 1.0, delta ** (2.0 * (jj - kk - 1))))
+    bounds = (b_delta(delta) / (1.0 - delta ** 2)) * d.s_odd[jj - 1] * pattern
+    return abs_entries, bounds, abs_entries <= bounds
+
+
+def cauchy_ones_solve(rho: np.ndarray, sigma: np.ndarray):
+    """Closed-form solves of C x = 1 and C^T y = 1 for C[j, k] = 1/(rho_j + sigma_k).
+
+    x_k = prod_l (rho_l + sigma_k) / (sigma_k - sigma_l) and y_j = prod_l (rho_j + sigma_l) /
+    (rho_j - rho_l), the l = k (l = j) denominator read as 1.  Taken apart, the numerator and
+    denominator products both scale like s^N and underflow to 0/0 for s_r = delta^r.
+    """
+    rho = np.asarray(rho, dtype=float)
+    sigma = np.asarray(sigma, dtype=float)
+    if rho.size != sigma.size or rho.size == 0:
+        raise ValidationError("rho and sigma must have equal positive length")
+    merged = np.empty(2 * rho.size)
+    merged[0::2] = rho
+    merged[1::2] = sigma
+    if not np.all(merged[:-1] > merged[1:]):
+        raise DegenerateSpectrum("rho and sigma must strictly interlace")
+    num = rho[:, None] + sigma  # [l, k] = rho_l + sigma_k
+    diag = np.eye(rho.size, dtype=bool)
+    x = np.prod(num / np.where(diag, 1.0, sigma - sigma[:, None]), axis=0)
+    y = np.prod(num / np.where(diag, 1.0, rho[:, None] - rho), axis=1)
+    return x, y
+
+
+def check_trace_identity(u: HardyFunction, spectrum: HankelSpectrum) -> float:
+    """|sum rho_j^2 - ||u||^2| / ||u||^2 in the H^(1/2) norm; zero up to tail mass and roundoff.
+    Relative, since at |u_hat| near 1e200 or 1e-200 the absolute residual leaves the double range."""
+    return _relative_gap(_square_sum(spectrum.rho, 1.0), _square_sum(u.coeffs, np.arange(1.0, len(u) + 1)))
+
+
+def check_rank_one_identity(u: HardyFunction, m: int) -> float:
+    """Entrywise residual of (shifted Gram) = (Gram) - outer(u_hat, u_hat).
+
+    Measured on the top-left m/2 block where truncation edge effects vanish
+    for coefficients supported in [0, m/2].
+    """
+    h = _hankel_rows(u.coeffs, m)
+    g = h @ h.conj().T
+    c = h[0]  # u_hat(0..m-1)
+    resid = g[1:, 1:] - g[:-1, :-1] + np.outer(c, c.conj())
+    half = max(m // 2, 1)
+    return float(np.abs(resid[:half, :half]).max())
+
+
+def sum_rule_residual(u: HardyFunction, spectrum: HankelSpectrum) -> float:
+    """|sum of all s_r^2 - sum (1+2n)|u_hat(n)|^2|, the two-operator trace identity, relative
+    to the second sum, as check_trace_identity is."""
+    return _relative_gap(_square_sum(np.concatenate((spectrum.rho, spectrum.sigma)), 1.0),
+                         _square_sum(u.coeffs, np.arange(1.0, 2 * len(u), 2)))
+
+
+def fhat_closed_form(gamma: float, theta_angle: float, xi: float) -> float:
+    """Fourier transform of the gap integrand: a ratio of cosh factors.
+
+    Evaluates (pi / 2|log gamma|) cosh((pi - theta) xi / 2 log gamma) /
+    cosh(pi xi / 2 log gamma) in overflow-safe exponential form.
+    """
+    lg = _log_nome(gamma)
+    if not (0.0 < theta_angle < 2.0 * math.pi):
+        raise ValidationError(f"theta_angle must be in (0, 2 pi), got {theta_angle}")
+    a = abs((math.pi - theta_angle) * xi / (2.0 * lg))
+    b = abs(math.pi * xi / (2.0 * lg))
+    # cosh(a)/cosh(b) = e^(a-b) (1 + e^(-2a)) / (1 + e^(-2b))
+    ratio = math.exp(a - b) * (1.0 + math.exp(-2.0 * a)) / (1.0 + math.exp(-2.0 * b))
+    return (math.pi / (2.0 * lg)) * ratio

@@ -244,6 +244,7 @@ CONTRACT_DATA = {
     "wide.json": [1e300, 1e-300],                      # the ratio underflows to delta = 0
     "tiny.json": [2e-170, 1e-170, 5e-171, 2.5e-171],   # a product s_r s_(r+1) underflows to 0
     "big.json": [1e200, 5e199],                        # ||u||^2 overflows
+    "big150.json": [1e150, 5e149],                     # |u|^2 u overflows
 }
 
 
@@ -329,6 +330,11 @@ def _cap_address_space():
     # the conservation CSV writes a mass past the double range as inf
     (["flow", "--data", "{tmp}/big.json", "--T", "0", "--dt", "5e-324", "--modes", "8", "--out", "{tmp}/t.csv"],
      0, "samples=1"),
+    # the steps and the dt |u|^2 <= 0.1 check run on u scaled by a power of two into range
+    (["flow", "--data", "{tmp}/big150.json", "--T", "1e-300", "--dt", "1e-303", "--modes", "64",
+      "--out", "{tmp}/t.csv"], 0, "samples=17"),
+    (["flow", "--data", "{tmp}/big.json", "--T", "1e-321", "--dt", "5e-324", "--modes", "8",
+      "--out", "{tmp}/t.csv"], 2, "too large for max |u|"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():

@@ -7,7 +7,8 @@ import pytest
 
 from szegolab import (BlowupDetected, FlowState, HardyFunction, InsufficientTruncation, SpectralData,
                       ValidationError, compare_flows, conservation_report, integrate, l2_distance,
-                      reconstruct_function, spectral_evolve, szego_rhs)
+                      reconstruct_function, spectral_evolve)
+from szegolab.flow import _cubic_rhs
 
 FLOW_N1 = SpectralData(np.array([0.95, 0.55]), np.array([0.3, 1.1]))
 
@@ -34,6 +35,14 @@ def test_spectral_evolve_periodicity():
 
 
 # --- right-hand side -----------------------------------------------------------
+
+def szego_rhs(u):
+    """-i P(|u|^2 u) on 2M nodes for an M-mode u, from one call of the integrator's kernel."""
+    rhs, _ = _cubic_rhs(len(u))
+    out = np.empty(len(u), dtype=complex)
+    rhs(u.coeffs, out, -1j)
+    return HardyFunction(out)
+
 
 def test_rhs_zero():
     out = szego_rhs(HardyFunction(np.zeros(8)))
@@ -131,6 +140,26 @@ def test_step_validation():
     for t_final, dt in ((1.0, 5e-324), (1.0, 1e-300), (1.0, 1e-12), (1.0001, 1e-7)):
         with pytest.raises(ValidationError, match="more than MAX_STEPS"):
             integrate(HardyFunction(np.array([1.0])), t_final, dt, 4)
+
+
+def pow2(a, k):
+    """2^k a, exactly, for a real or complex array."""
+    return np.ldexp(a.view(float), k).view(a.dtype)
+
+
+@pytest.mark.parametrize("k", [-500, -1, 1, 490])
+def test_integrate_is_scale_covariant(k):
+    # u -> 2^k u, t -> 4^-k t maps the flow to itself; the steps run on one power-of-two scale,
+    # so the samples are 2^k times the unscaled ones bit for bit, also where the unscaled
+    # |u|^2 u of 2^k u leaves the double range
+    u0 = HardyFunction(decaying_data(np.random.default_rng(8), 16))
+    want = integrate(u0, 0.05, 1e-3, 16)
+    got = integrate(HardyFunction(pow2(u0.coeffs, k)), np.ldexp(0.05, -2 * k),
+                    np.ldexp(1e-3, -2 * k), 16)
+    assert len(got) == len(want) == 17
+    for g, w in zip(got, want):
+        assert g.u.coeffs.tobytes() == pow2(w.u.coeffs, k).tobytes()
+        assert (g.t, g.dt) == (np.ldexp(w.t, -2 * k), np.ldexp(w.dt, -2 * k))
 
 
 def test_integrate_checks_the_coefficients_it_drops():

@@ -6,11 +6,12 @@ from scipy.integrate import quad
 
 from szegolab import (GeometricParams, NearPole, SingularTruncation, SymbolGrid, ValidationError,
                       ZeroOnContour, check_functional_equations, elliptic_check, f_gamma,
-                      fhat_closed_form, geometric_spectral_data, index_profile,
-                      phi_laurent_coeff, phi_symbol, poisson_gap_bound, reconstruct_point,
-                      stability_scan, toeplitz_truncated, u_via_toeplitz,
-                      wiener_hopf_factorize, wiener_hopf_inverse_residual, winding_index,
-                      zero_gap)
+                      geometric_spectral_data, index_profile, phi_laurent_coeff, phi_symbol,
+                      poisson_gap_bound, reconstruct_point, stability_scan, toeplitz_truncated,
+                      u_via_toeplitz, wiener_hopf_factorize, wiener_hopf_inverse_residual,
+                      winding_index, zero_gap)
+
+from references import fhat_closed_form
 
 GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 

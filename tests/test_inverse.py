@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from szegolab import (AnglesNotZero, C1LowerBounds, DegenerateSpectrum, SingularMatrix, SpectralData,
-                      ValidationError, a_explicit, b_delta, build_c_matrix,
-                      build_cdot_matrix, c0_inverse_sum_bound, c1_closed_form,
-                      c1_lower_bound, cauchy_inverse_c0, cauchy_neumann_factors,
-                      cauchy_ones_solve, entry_bound_table, operator_bounds,
+                      ValidationError, a_explicit, b_delta, c0_inverse_sum_bound, c1_closed_form,
+                      c1_lower_bound, cauchy_neumann_factors, operator_bounds,
                       pair_singular_values, reconstruct_function, reconstruct_point,
                       taylor_coefficients, weighted_first_moment)
 from szegolab import inverse as inverse_mod
 
 from disc_extraction import coeffs_from_disc_samples
+from references import build_c_matrix, build_cdot_matrix, cauchy_ones_solve, entry_bound_table
 
 PAIR1 = SpectralData(np.array([1.0, 0.5]), np.zeros(2))
 
@@ -429,14 +428,14 @@ def test_roundtrip_small():
 # --- explicit Cauchy inverse ----------------------------------------------------
 
 def test_inverse_rank_one():
-    assert np.abs(cauchy_inverse_c0(PAIR1) - np.array([[0.75]])).max() < 1e-15
+    assert np.abs(PAIR1._factors.cinv - np.array([[0.75]])).max() < 1e-15
 
 
 def test_inverse_is_inverse():
     rng = np.random.default_rng(8)
     for n in (2, 4, 7):
         d = random_data(rng, n)
-        inv = cauchy_inverse_c0(d)
+        inv = d._factors.cinv
         c0 = build_c_matrix(d, 0.0)
         assert np.abs(c0 @ inv - np.eye(n)).max() < 1e-10
 
@@ -445,7 +444,7 @@ def test_inverse_matches_dense_inverse():
     rng = np.random.default_rng(9)
     for n in (1, 2, 3, 5, 8):
         d = random_data(rng, n)
-        inv = cauchy_inverse_c0(d)
+        inv = d._factors.cinv
         dense = np.linalg.inv(build_c_matrix(d, 0.0))
         rel = np.linalg.norm(inv - dense) / np.linalg.norm(dense)
         assert rel < 1e-10
@@ -455,7 +454,7 @@ def test_inverse_survives_extreme_decay():
     n = 40
     s = 0.05 ** np.arange(1, 2 * n + 1)
     d = SpectralData(s, np.zeros(2 * n))
-    inv = cauchy_inverse_c0(d)
+    inv = d._factors.cinv
     assert np.all(np.isfinite(inv))
     # row sums stay below the explicit constant bound
     assert np.abs(inv).sum() <= c0_inverse_sum_bound(d)
@@ -525,7 +524,7 @@ def test_neumann_factors_consistency():
     rng = np.random.default_rng(10)
     d = random_data(rng, 4)
     c, p = cauchy_neumann_factors(d)
-    inv = cauchy_inverse_c0(d)
+    inv = d._factors.cinv
     assert np.abs(c - inv.sum(axis=1)).max() < 1e-12
     assert np.abs(p - inv @ build_cdot_matrix(d)).max() < 1e-12
 
@@ -600,8 +599,7 @@ def test_factors_built_once_per_value(monkeypatch):
     for w in np.exp(2j * np.pi * np.arange(32) / 32):
         reconstruct_point(d, 0.9 * w)
     taylor_coefficients(d, 16)
-    cauchy_inverse_c0(d)
-    entry_bound_table(d)
+    entry_bound_table(d)  # reads the cached C(0) inverse
     assert len(built) == 1
 
 
@@ -615,10 +613,10 @@ def test_factors_are_read_only():
         p[0, 0] = 0.0
     c2, p2 = cauchy_neumann_factors(d)
     assert np.array_equal(c2, c_before) and np.array_equal(p2, p_before)
-    inv = cauchy_inverse_c0(d)
+    inv = d._factors.cinv
     with pytest.raises(ValueError):
         inv[0, 0] = 0.0
-    assert cauchy_inverse_c0(d) is inv
+    assert d._factors.cinv is inv
 
 
 def test_separate_values_agree_bitwise():

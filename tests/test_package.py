@@ -28,7 +28,19 @@ def test_every_public_definition_is_exported():
         for name, obj in vars(module).items():
             if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ == module.__name__:
                 assert name.startswith("_") or name in szegolab.__all__, f"{layer}.{name}"
-    assert len(szegolab.__all__) == 71
+    assert len(szegolab.__all__) == 59
+
+
+def test_test_only_names_are_not_in_the_package():
+    # the dense reference formulas and identity checks live in tests/references.py, and the
+    # four wrappers of cached or private values are gone
+    gone = ("build_c_matrix", "build_cdot_matrix", "cauchy_inverse_c0", "cauchy_ones_solve",
+            "check_rank_one_identity", "check_trace_identity", "entry_bound_table",
+            "fhat_closed_form", "hankel_matrix", "shifted_hankel_matrix", "sum_rule_residual",
+            "szego_rhs")
+    modules = [szegolab] + [importlib.import_module(f"szegolab.{layer}")
+                            for layer in ("flow", "geometric", "hankel", "inverse")]
+    assert [(m.__name__, name) for m in modules for name in gone if hasattr(m, name)] == []
 
 
 def test_readme_guard_table_matches_the_constants():
