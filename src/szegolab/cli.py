@@ -145,7 +145,7 @@ def cmd_geometric(args) -> None:
 
     u_t = geo.u_via_toeplitz(params, z, args.r, args.n_max)
     data = geo.geometric_spectral_data(params, args.n_max)
-    u_c = reconstruct_point(data, z, method="neumann")
+    u_c = reconstruct_point(data, z)
     _print_kv([("u_toeplitz", u_t), ("u_cauchy", u_c), ("route_delta", abs(u_t - u_c)),
                ("index_profile", str(out_dir / "index_profile.csv")),
                ("stability", str(out_dir / "stability.csv"))])

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupDetected, ValidationError
-from .hankel import _check_tail, _relative_gap, pair_singular_values
-from .hardy import HardyFunction, _padded, _pow2_scaled, _square_sum, sobolev_norm
+from .hankel import _check_tail, pair_singular_values
+from .hardy import HardyFunction, _padded, _pow2_scaled, _relative_gap, _square_sum, sobolev_norm
 from .inverse import SpectralData, reconstruct_function
 
 MASS_DRIFT_LIMIT = 0.01  # largest tolerated relative mass drift along a trajectory

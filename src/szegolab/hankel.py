@@ -198,14 +198,3 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     rho, sigma = (np.ldexp(_merge_close(s[s > TAU_RANK * s[0]], TAU_EIG), e)
                   for s in _block_spectra(h[:k + 1, :k]))
     return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=float(np.ldexp(t, 2 * et)))
-
-
-def _relative_gap(lhs: tuple[float, int], rhs: tuple[float, int]) -> float:
-    """|L - R| / R for square sums L = t 4^e and R = t' 4^e' as hardy._square_sum returns them,
-    with the exponents combined before any power is formed, so the ratio is the same at every
-    scale of the data; 0 where both are 0, inf where only R is."""
-    (t, e), (tr, er) = lhs, rhs
-    if tr == 0:
-        return 0.0 if t == 0 else np.inf
-    with np.errstate(over="ignore"):
-        return float(abs(np.ldexp(t / tr, 2 * (e - er)) - 1.0))

@@ -119,6 +119,29 @@ def _square_sum(a: np.ndarray, w) -> tuple[float, int]:
     return float(np.sum(w * np.abs(v) ** 2)), e
 
 
+def _pow2_product(m: np.ndarray, e, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """(t, k) with prod(m 2^e, axis) = t 2^k, t = 0 or 1/2 <= |t| < 1, for a finite real m and
+    integer e that broadcast together: m is split by frexp, its signed mantissas are multiplied in
+    runs of 1000 (so each run stays above 2^-1000) whose mantissas are multiplied in turn (up to
+    10^6 factors), and every exponent is summed apart as an integer, so no partial product leaves
+    the double range; the product analogue of _pow2_scaled and _square_sum."""
+    t, k = np.frexp(m)
+    t, j = np.frexp(np.multiply.reduceat(t, np.arange(0, t.shape[axis], 1000), axis=axis))
+    t, i = np.frexp(t.prod(axis))
+    return t, (k + e).sum(axis) + j.sum(axis) + i
+
+
+def _relative_gap(lhs: tuple[float, int], rhs: tuple[float, int]) -> float:
+    """|L - R| / R for square sums L = t 4^e and R = t' 4^e' as _square_sum returns them, with the
+    exponents combined before any power is formed, so the ratio is the same at every scale of the
+    data; 0 where both are 0, inf where only R is."""
+    (t, e), (tr, er) = lhs, rhs
+    if tr == 0:
+        return 0.0 if t == 0 else np.inf
+    with np.errstate(over="ignore"):
+        return float(abs(np.ldexp(t / tr, 2 * (e - er)) - 1.0))
+
+
 def _padded(c: np.ndarray, n: int) -> np.ndarray:
     """c(0..n-1) as a new complex array, zero past the end of c."""
     return np.concatenate((c[:n], np.zeros(n - min(c.size, n), dtype=complex)))

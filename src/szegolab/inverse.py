@@ -6,7 +6,7 @@ function through the N x N matrix
     C(z)[j, k] = (s_odd_j e^(i psi_odd_j) - z s_even_k e^(i psi_even_k))
                  / (s_odd_j^2 - s_even_k^2),
 
-as u(z) = <C(z)^(-1) 1, 1>.  C(0) is a column-scaled Cauchy matrix whose
+as u(z) = <C(z)^(-1) 1, 1>.  C(0) is a row-scaled Cauchy matrix whose
 inverse is known in closed form; that inverse also powers the l1 operator
 bounds that certify analytic extension past the unit circle, and the
 closed-form first-moment identities for zero angles.
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import AnglesNotZero, DegenerateSpectrum, SingularMatrix, ValidationError
 from .fileio import dump_json, load_json
-from .hardy import HardyFunction
+from .hardy import HardyFunction, _pow2_product
 
 EPS_DEN = 1e-13    # relative-cancellation threshold for s_odd^2 - s_even^2
 EPS_COND = 1e12    # condition ceiling for the solve against I - z P
@@ -143,44 +143,42 @@ def _check_denominators(d: SpectralData) -> None:
             f"|s_{r + 1}^2 - s_{r + 2}^2| cancels to {rel[r]:.3e} relative, below {EPS_DEN:g}")
 
 
-def _log_abs_diff(la: np.ndarray, lb: np.ndarray) -> np.ndarray:
-    """log|e^la - e^lb| computed from the logs, safe for huge dynamic range."""
-    hi = np.maximum(la, lb)
-    lo = np.minimum(la, lb)
-    with np.errstate(divide="ignore"):
-        return hi + np.log1p(-np.exp(np.minimum(lo - hi, -1e-300)))
-
-
 def _build_factors(d: SpectralData) -> _Factors:
     """The explicit C(0) inverse and (c, P), every array read-only.
 
-    Entries are formed from log magnitudes, and P = C(0)^(-1) Cdot is one
-    product whose factors cannot overflow: the left one, |C(0)^(-1)[k, j]|
-    / s_odd_j, stays at or below B_delta / (1 - delta^2) by the explicit entry
-    bound (times a power of delta, at most 1), and the right one, s_odd_j s_even_l /
-    |s_odd_j^2 - s_even_l^2| = q / (1 - q^2) with q < 1 the pair ratio
-    that EPS_DEN guards, at or below 1 / EPS_DEN.
+    With x = s_odd^2 and y = s_even^2, entry (k, j) of C(0)^(-1) is
+    e^(-i psi_odd_j) A_j B_k / ((x_j - y_k) s_odd_j), where A_j = prod_l (x_j - y_l) / prod_(l != j)
+    (x_j - x_l) and B_k = prod_l (x_l - y_k) / prod_(l != k) (y_l - y_k). Each a^2 - b^2 is
+    (u - v)(u + v) 4^E, with u = a 2^-E and v = b 2^-E below 1 for E the frexp exponent of the
+    larger, so no square is formed and no sum overflows; every product is a signed mantissa and
+    a power of two (hardy._pow2_product), and each entry's power is applied once by ldexp. So
+    s -> 2^k s scales C(0)^(-1) and c by 2^k exactly and leaves P's bits unchanged.
+
+    P = C(0)^(-1) Cdot is one product whose factors cannot overflow: the left one, |C(0)^(-1)[k, j]|
+    / s_odd_j, stays at or below B_delta / (1 - delta^2) by the explicit entry bound (times a
+    power of delta, at most 1), and the right one, s_odd_j s_even_l / (x_j - y_l), is
+    v / (u + v) * u / (u - v): two quotients of modulus at most 1 and 1 / (1 - q) < 2 / EPS_DEN,
+    q < 1 the pair ratio that EPS_DEN guards.
     """
-    n = d.n_pairs
-    log_odd = np.log(d.s_odd)
-    logx = 2.0 * log_odd
-    logy = 2.0 * np.log(d.s_even)
-    lxy = _log_abs_diff(logx[:, None], logy[None, :])        # log|x_j - y_k|
-    lxx = _log_abs_diff(logx[:, None], logx[None, :])
-    lyy = _log_abs_diff(logy[:, None], logy[None, :])
-    np.fill_diagonal(lxx, 0.0)
-    np.fill_diagonal(lyy, 0.0)
-    log_alpha = lxy.sum(axis=1) - lxx.sum(axis=1)
-    log_beta = lxy.sum(axis=0) - lyy.sum(axis=0)
-    # row k, column j; the total sign reduces to sign(x_j - y_k), + exactly when j <= k
-    logmag = log_alpha[None, :] + log_beta[:, None] - lxy.T - log_odd[None, :]
-    sgn = 2.0 * np.tri(n) - 1.0
-    signed_phase = sgn * np.exp(-1j * d.psi_odd)[None, :]
-    cinv = signed_phase * np.exp(logmag)
+    def squares(a, b):  # (t, e, u, v) with a_j^2 - b_k^2 = t 2^e, and 1 = t 2^e where a_j = b_k
+        big = np.maximum.outer(np.frexp(a)[1], np.frexp(b)[1])
+        u, v = np.ldexp(a[:, None], -big), np.ldexp(b, -big)
+        same = u == v  # elsewhere |u - v| >= 2^-54, as max(u, v) >= 1/2, so (u - v)(u + v) is normal
+        t, e = np.frexp(np.where(same, 1.0, (u - v) * (u + v)))
+        return t, np.where(same, e, e + 2 * big), u, v
+
+    txy, exy, u, v = squares(d.s_odd, d.s_even)
+    (an, ean), (ad, ead) = _pow2_product(txy, exy, 1), _pow2_product(*squares(d.s_odd, d.s_odd)[:2], 1)
+    (bn, ebn), (bd, ebd) = _pow2_product(txy, exy, 0), _pow2_product(*squares(d.s_even, d.s_even)[:2], 0)
+    mr, er = np.frexp(d.s_odd)
+    # row k, column j: A_j B_k / ((x_j - y_k) s_odd_j) = q 2^eq, with 1/8 < |q| < 32
+    q = (an / (ad * mr))[None, :] * (bn / bd)[:, None] / txy.T
+    eq = (ean - ead - er)[None, :] + (ebn - ebd)[:, None] - exy.T
+    phase = np.exp(-1j * d.psi_odd)[None, :]
+    cinv = np.ldexp(q, eq) * phase
     c = cinv.sum(axis=1)
-    left = signed_phase * np.exp(logmag - log_odd[None, :])
-    right = sgn.T * np.exp(np.log(d.s_even)[None, :] - lxy + log_odd[:, None])
-    p = (left @ right) * np.exp(1j * d.psi_even)[None, :]
+    left = np.ldexp(q / mr, eq - er) * phase
+    p = (left @ (v / (u + v) * (u / (u - v)))) * np.exp(1j * d.psi_even)[None, :]
     out = _Factors(cinv, c, p)
     for a in out:
         a.flags.writeable = False

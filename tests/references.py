@@ -1,9 +1,9 @@
 """Reference formulas and identity checks the tests compare the package against.
 
-Dense reconstruction matrices, the explicit entry bounds of C(0)^(-1), closed-form Cauchy
-solves, the Hankel trace, sum-rule and rank-one identities and the closed-form Fourier
-transform of the gap integrand. Independent of the routes the package computes by, so the
-tests can compare the two; not part of the package.
+Dense reconstruction matrices, the explicit entry bounds of C(0)^(-1), the closed form of
+C(0)^(-1) and P in mpmath, closed-form Cauchy solves, the Hankel trace, sum-rule and rank-one
+identities and the closed-form Fourier transform of the gap integrand. Independent of the
+routes the package computes by, so the tests can compare the two; not part of the package.
 """
 
 import math
@@ -13,8 +13,8 @@ import numpy as np
 from szegolab import (DegenerateSpectrum, HankelSpectrum, HardyFunction, SpectralData,
                       ValidationError, b_delta)
 from szegolab.geometric import _log_nome
-from szegolab.hankel import _hankel_rows, _relative_gap
-from szegolab.hardy import _square_sum
+from szegolab.hankel import _hankel_rows
+from szegolab.hardy import _relative_gap, _square_sum
 
 
 def build_c_matrix(d: SpectralData, z: complex) -> np.ndarray:
@@ -51,6 +51,34 @@ def entry_bound_table(d: SpectralData):
                        np.where(jj <= kk + 1, 1.0, delta ** (2.0 * (jj - kk - 1))))
     bounds = (b_delta(delta) / (1.0 - delta ** 2)) * d.s_odd[jj - 1] * pattern
     return abs_entries, bounds, abs_entries <= bounds
+
+
+def cauchy_factors_mpmath(d: SpectralData, dps: int = 50):
+    """C(0)^(-1) and P = C(0)^(-1) Cdot from their closed form in mpmath at dps digits, rounded once.
+
+    With x = s_odd^2 and y = s_even^2 (exact squares of the doubles), entry (k, j) of C(0)^(-1) is
+    e^(-i psi_odd_j) A_j B_k / ((x_j - y_k) s_odd_j), A_j = prod_l (x_j - y_l) / prod_(l != j)
+    (x_j - x_l) and B_k = prod_l (x_l - y_k) / prod_(l != k) (y_l - y_k), and P[k, l] sums
+    C(0)^(-1)[k, j] s_even_l e^(i psi_even_l) / (x_j - y_l) over j. No matrix is inverted, so
+    dps needs to cover only the EPS_DEN cancellation, whatever the span of s; entries outside
+    the double range round to 0 or inf.
+    """
+    import mpmath as mp
+
+    n = d.n_pairs
+    with mp.workdps(dps):
+        rho, sig = ([mp.mpf(float(v)) for v in a] for a in (d.s_odd, d.s_even))
+        x, y = [r * r for r in rho], [s * s for s in sig]
+        a = [mp.fprod(x[j] - y[l] for l in range(n)) / mp.fprod(x[j] - x[l] for l in range(n) if l != j)
+             for j in range(n)]
+        b = [mp.fprod(x[l] - y[k] for l in range(n)) / mp.fprod(y[l] - y[k] for l in range(n) if l != k)
+             for k in range(n)]
+        cinv = [[mp.expj(-mp.mpf(float(d.psi_odd[j]))) * a[j] * b[k] / ((x[j] - y[k]) * rho[j])
+                 for j in range(n)] for k in range(n)]
+        cdot = [[sig[l] * mp.expj(mp.mpf(float(d.psi_even[l]))) / (x[j] - y[l]) for l in range(n)]
+                for j in range(n)]
+        p = [[mp.fsum(cinv[k][j] * cdot[j][l] for j in range(n)) for l in range(n)] for k in range(n)]
+        return tuple(np.array([[complex(v) for v in row] for row in m]) for m in (cinv, p))
 
 
 def cauchy_ones_solve(rho: np.ndarray, sigma: np.ndarray):

@@ -10,9 +10,11 @@ import numpy as np
 import pytest
 
 import szegolab
-from szegolab import a_explicit
+from szegolab import SpectralData, a_explicit
 from szegolab.cli import build_parser, main
 from szegolab.fileio import read_csv
+
+from references import cauchy_factors_mpmath
 
 
 @pytest.fixture
@@ -98,11 +100,16 @@ def test_certify_output(pair1, tmp_path, capsys):
     four.write_text(json.dumps({"pairs": [{"s": v, "psi": 0.0} for v in (1.0, 0.9, 0.8, 0.7)]}))
     assert main(["certify", "--data", str(four)]) == 0
     assert capsys.readouterr().out == ("delta=0.90000000000000002\n"
-                                       "l1_norm_c0inv_sum=0.46285156250000015\n"
-                                       "l1_norm_product=1.1050781250000001\n"
+                                       "l1_norm_c0inv_sum=0.46285156250000009\n"
+                                       "l1_norm_product=1.1050781249999997\n"
                                        "bound_value=439329.65182545991\n"
                                        "certified_radius=none\n"
                                        "c0inv_sum_bound=46373.685470465185\n")
+    # the 50-digit values are 0.462851562500000137... and 1.105078125000000134...
+    cinv, p = cauchy_factors_mpmath(SpectralData.load_json(four))
+    for got, want in ((0.46285156250000009, np.abs(cinv).sum()),
+                      (1.1050781249999997, np.abs(p).sum(axis=0).max())):
+        assert abs(got - want) <= 4 * np.finfo(float).eps * want
 
 
 def test_flow_csv_columns(pair1, tmp_path, capsys):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from szegolab import (HardyFunction, NegativeCoefficients, ValidationError, sobolev_norm,
                       weighted_first_moment)
 from szegolab.fileio import fmt, read_csv
+from szegolab.hardy import _pow2_product
 
 from disc_extraction import InconsistentSamples, coeffs_from_disc_samples
 
@@ -58,6 +59,15 @@ def test_parseval_against_circle_quadrature():
         k = 2 * m + 1
         quad = np.sqrt(np.mean(np.abs(np.fft.ifft(u.coeffs, n=k) * k) ** 2))
         assert abs(sobolev_norm(u, 0.0) - quad) < 1e-10
+
+
+def test_pow2_product_past_the_double_range():
+    # 2500 factors -1/2 multiply to 2^-2500, far below the double range, where one np.prod gives 0;
+    # a factor 2^e adds e to the exponent without being formed
+    t, k = _pow2_product(np.full((2, 2500), -0.5), 0, 1)
+    assert np.array_equal(t, [0.5, 0.5]) and np.array_equal(k, [-2499, -2499])
+    t, k = _pow2_product(np.array([[-3.0, 1e300], [0.0, 2.0]]), np.array([[1100, 0], [0, 5]]), 1)
+    assert np.array_equal(t, [-0.75 * 1e300 / 2.0 ** 997, 0.0]) and k[0] == 1100 + 2 + 997
 
 
 # --- weighted first moment -------------------------------------------------

@@ -16,7 +16,8 @@ from szegolab import (AnglesNotZero, C1LowerBounds, DegenerateSpectrum, Singular
 from szegolab import inverse as inverse_mod
 
 from disc_extraction import coeffs_from_disc_samples
-from references import build_c_matrix, build_cdot_matrix, cauchy_ones_solve, entry_bound_table
+from references import (build_c_matrix, build_cdot_matrix, cauchy_factors_mpmath, cauchy_ones_solve,
+                        entry_bound_table)
 
 PAIR1 = SpectralData(np.array([1.0, 0.5]), np.zeros(2))
 
@@ -231,10 +232,14 @@ def test_point_values_far_out_take_no_svd(monkeypatch):
     # products are near 1, while ||m||_1 ||m||_inf alone overflows
     calls, solves = _calls(monkeypatch), _calls(monkeypatch, "solve")
     d = SpectralData(np.array([1.0, 0.5, 0.2, 0.05]), np.zeros(4))
-    assert reconstruct_point(d, 1e200) == -4.295454545454547e-200
-    far = 2.1477272727272725e-308
+    near, far = -4.2954545454545457e-200, 2.1477272727272735e-308
+    assert reconstruct_point(d, 1e200) == near
     assert reconstruct_point(d, complex(-1e308, 1e308)) == complex(far, far)
     assert calls == [] and len(solves) == 2
+    # the 60-digit values are -4.29545454545454545...e-200 and 2.14772727272727278...e-308 (1 + i)
+    for z, u in ((1e200, near), (complex(-1e308, 1e308), complex(far, far))):
+        ref = _u_mpmath(d, z, 60)
+        assert abs(u - ref) <= 4 * np.finfo(float).eps * abs(ref)
 
 
 def _lu_bound(m, rhs):
@@ -258,8 +263,12 @@ def test_point_near_a_pole_takes_the_svd(monkeypatch):
     c, p = cauchy_neumann_factors(d)
     assert 1e6 < _lu_bound(np.eye(2) - 1.2369323 * p, c) < 1e12
     calls, solves = _calls(monkeypatch), _calls(monkeypatch, "solve")
-    assert reconstruct_point(d, 1.2369323) == 3242966.8579624225
+    u = reconstruct_point(d, 1.2369323)
+    assert u == 3242966.8550504535
     assert len(calls) == 1 and len(solves) == 1
+    # within cond * eps of the 60-digit value 3242966.854423731...
+    ref = _u_mpmath(d, 1.2369323, 60)
+    assert abs(u - ref) <= 1.46e7 * np.finfo(float).eps * abs(ref)
 
 
 def _u_mpmath(d, z, dps):
@@ -576,6 +585,36 @@ def test_factors_match_mpmath():
             c_ref, p_ref = _factors_mpmath(d, 120)
             assert np.linalg.norm(c - c_ref) <= 1e-12 * np.linalg.norm(c_ref)
             assert np.linalg.norm(p - p_ref) <= 1e-12 * np.linalg.norm(p_ref)
+
+
+def test_factors_match_closed_form_across_the_double_range():
+    # C(0)^(-1) per entry and P normwise against the closed form in mpmath; an entry whose true
+    # value is subnormal or smaller is off by at most the subnormal spacing
+    rng = np.random.default_rng(44)
+    cases = [SpectralData(10.0 ** e * d.s, d.psi) for d in (random_data(rng, n, 0.2) for n in (1, 3, 5))
+             for e in range(-300, 301, 100)]
+    cases += [SpectralData(10.0 ** (300 - 12 * np.arange(32)), rng.uniform(0.0, 2.0 * np.pi, 32)),
+              SpectralData(np.array([1e300, 1e-300]), np.array([0.3, 1.0])),
+              SpectralData(np.array([1e300, 5e299]), np.zeros(2))]
+    tiny = 2.0 ** -1074
+    for d in cases:
+        cinv_ref, p_ref = cauchy_factors_mpmath(d)
+        assert np.all(np.abs(d._factors.cinv - cinv_ref) <= 1e-14 * np.abs(cinv_ref) + tiny)
+        assert np.linalg.norm(d._factors.p - p_ref) <= 1e-14 * np.linalg.norm(p_ref) + d.n_pairs * tiny
+    assert cases[-1]._factors.cinv[0, 0] == 7.5e299  # s_1 - s_2^2 / s_1, exactly
+
+
+def test_factors_scale_by_powers_of_two_bitwise():
+    # s -> 2^k s moves only the exponents of the products, so c scales exactly and P keeps its bits
+    rng = np.random.default_rng(45)
+    for _ in range(25):
+        n = int(rng.integers(1, 9))
+        s = rng.uniform(0.5, 1.0) * np.cumprod(np.concatenate([[1.0], rng.uniform(0.05, 0.9, 2 * n - 1)]))
+        psi = rng.uniform(0.0, 2.0 * np.pi, 2 * n)
+        c, p = cauchy_neumann_factors(SpectralData(s, psi))
+        for k in (-900, -1, 1, 900):
+            c2, p2 = cauchy_neumann_factors(SpectralData(np.ldexp(s, k), psi))
+            assert np.array_equal(p2, p) and np.array_equal(c2, c * 2.0 ** k)
 
 
 # --- the factorization shared by one value ------------------------------------------
