@@ -8,19 +8,15 @@ regularity for geometric spectral data.
 """
 
 from .errors import (AnglesNotZero, BlowupDetected, DegenerateSpectrum, InsufficientTruncation,
-                     NearPole, NegativeCoefficients, NonzeroIndex, NumericalError,
-                     SingularMatrix, SingularTruncation, SzegoLabError, ValidationError,
-                     ZeroOnContour)
+                     NearPole, NumericalError, SingularMatrix, SingularTruncation, SzegoLabError,
+                     ValidationError, ZeroOnContour)
 from .flow import (ConservationRow, FlowState, compare_flows, conservation_report, integrate,
                    l2_distance, spectral_evolve)
-from .geometric import (EllipticReport, GeometricParams, SymbolGrid, WienerHopfFactors,
-                        ZeroGapReport, check_functional_equations, elliptic_check, f_gamma,
-                        geometric_spectral_data, index_profile, phi_laurent_coeff, phi_symbol,
-                        poisson_gap_bound, stability_scan, toeplitz_truncated, u_via_toeplitz,
-                        wiener_hopf_factorize, wiener_hopf_inverse_residual, winding_index,
-                        zero_gap)
+from .geometric import (GeometricParams, ZeroGapReport, f_gamma, geometric_spectral_data,
+                        index_profile, poisson_gap_bound, stability_scan, u_via_toeplitz,
+                        winding_index, zero_gap)
 from .hankel import HankelSpectrum, pair_singular_values, tail_mass
-from .hardy import HardyFunction, sobolev_norm, weighted_first_moment
+from .hardy import HardyFunction, sobolev_norm
 from .inverse import (C1LowerBounds, OperatorBounds, SpectralData, a_explicit, b_delta,
                       c0_inverse_sum_bound, c1_closed_form, c1_lower_bound,
                       cauchy_neumann_factors, operator_bounds, reconstruct_function,
@@ -31,21 +27,18 @@ __version__ = "0.1.0"
 __all__ = [
     # errors
     "AnglesNotZero", "BlowupDetected", "DegenerateSpectrum", "InsufficientTruncation",
-    "NearPole", "NegativeCoefficients", "NonzeroIndex", "NumericalError", "SingularMatrix",
-    "SingularTruncation", "SzegoLabError", "ValidationError", "ZeroOnContour",
+    "NearPole", "NumericalError", "SingularMatrix", "SingularTruncation", "SzegoLabError",
+    "ValidationError", "ZeroOnContour",
     # flow
     "ConservationRow", "FlowState", "compare_flows", "conservation_report", "integrate",
     "l2_distance", "spectral_evolve",
     # geometric
-    "EllipticReport", "GeometricParams", "SymbolGrid", "WienerHopfFactors", "ZeroGapReport",
-    "check_functional_equations", "elliptic_check", "f_gamma", "geometric_spectral_data",
-    "index_profile", "phi_laurent_coeff", "phi_symbol", "poisson_gap_bound", "stability_scan",
-    "toeplitz_truncated", "u_via_toeplitz", "wiener_hopf_factorize",
-    "wiener_hopf_inverse_residual", "winding_index", "zero_gap",
+    "GeometricParams", "ZeroGapReport", "f_gamma", "geometric_spectral_data", "index_profile",
+    "poisson_gap_bound", "stability_scan", "u_via_toeplitz", "winding_index", "zero_gap",
     # hankel
     "HankelSpectrum", "pair_singular_values", "tail_mass",
     # hardy
-    "HardyFunction", "sobolev_norm", "weighted_first_moment",
+    "HardyFunction", "sobolev_norm",
     # inverse
     "C1LowerBounds", "OperatorBounds", "SpectralData", "a_explicit", "b_delta",
     "c0_inverse_sum_bound", "c1_closed_form", "c1_lower_bound", "cauchy_neumann_factors",

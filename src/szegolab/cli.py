@@ -51,7 +51,7 @@ def _parse_complex(text: str) -> complex:
 
 
 def _parse_grid(text: str) -> list[float]:
-    """Comma list '0.1,0.2' or inclusive range 'start:stop:step'."""
+    """Comma list '0.1,0.2' of finite values or inclusive range 'start:stop:step'."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -71,9 +71,12 @@ def _parse_grid(text: str) -> list[float]:
     if not text.strip():
         return []
     try:
-        return [float(p) for p in text.split(",")]
+        grid = [float(p) for p in text.split(",")]
     except ValueError as exc:
         raise ValidationError(f"bad grid {text!r}: {exc}") from exc
+    if not np.all(np.isfinite(grid)):  # a NaN would also leave sorted() out of order
+        raise ValidationError(f"grid values must be finite, got {text!r}")
+    return grid
 
 
 # --- subcommands ----------------------------------------------------------

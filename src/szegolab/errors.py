@@ -18,10 +18,6 @@ class NumericalError(SzegoLabError):
     """A numerical guard tripped during a computation."""
 
 
-class NegativeCoefficients(NumericalError):
-    """Coefficients required to be real nonnegative are not, beyond tolerance."""
-
-
 class InsufficientTruncation(NumericalError):
     """Discarded coefficient mass too large for the requested matrix size."""
 
@@ -44,10 +40,6 @@ class NearPole(NumericalError):
 
 class ZeroOnContour(NumericalError):
     """Symbol modulus drops below the zero guard on the contour."""
-
-
-class NonzeroIndex(NumericalError):
-    """Winding index is nonzero where zero is required."""
 
 
 class SingularTruncation(NumericalError):

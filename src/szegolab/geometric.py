@@ -9,6 +9,9 @@ with gamma = e^(-2h).  The kernel's poles sit on the circles |zeta| =
 gamma^(2l) and its zeros on |zeta| = gamma^(2l+1); invertibility of the
 Toeplitz operator (no zeros on the contour, winding index zero) is the
 certificate that the reconstruction stays bounded past the unit circle.
+Here that certificate is the zero gap of the kernel, its winding index on
+a circle and the stability of finite sections; the Toeplitz route to u(z)
+is checked against the Cauchy route of inverse.
 
 The kernel, the modulus k' of the zero-gap certificate and its Poisson
 bound are all evaluated in the dual nome e^(-pi^2/a), a = -log gamma
@@ -24,15 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (NearPole, NonzeroIndex, SingularTruncation, ValidationError,
-                     ZeroOnContour)
+from .errors import NearPole, SingularTruncation, ValidationError, ZeroOnContour
 from .inverse import SpectralData, _guarded_solve
 
 EPS_POLE = 1e-6   # relative pole-distance guard
 EPS_ZERO = 1e-9   # contour zero guard
 EPS_TRUNC = 1e-13  # smallest/largest singular value floor of a truncated Toeplitz matrix
 WINDING_NODES = (256, 1 << 18)  # first and last node count of the winding refinement
-ELLIPTIC_GRID = (6, 4)  # real x imaginary sample counts of the periodicity check
 DEFAULT_R = 0.95
 
 
@@ -144,22 +145,9 @@ def f_gamma(gamma: float, zeta):
     return complex(total[0]) if scalar else total
 
 
-def check_functional_equations(gamma: float, zeta: complex):
-    """Residuals of f(1/zeta) = -zeta f(zeta) and f(zeta/gamma^2) = gamma f(zeta)."""
-    f0 = f_gamma(gamma, zeta)
-    res1 = abs(f_gamma(gamma, 1.0 / zeta) + zeta * f0)
-    res2 = abs(f_gamma(gamma, zeta / gamma ** 2) - gamma * f0)
-    return float(res1), float(res2)
-
-
-def phi_symbol(p: GeometricParams, z: complex, zeta):
-    """Symbol value f_gamma(zeta) - z omega f_gamma(zeta omega^2)."""
-    om = p.omega
-    return f_gamma(p.gamma, zeta) - z * om * f_gamma(p.gamma, np.asarray(zeta, dtype=complex) * om ** 2)
-
-
-def phi_laurent_coeff(p: GeometricParams, z: complex, ell, r: float = 1.0):
-    """Laurent coefficient of zeta -> Phi(z, r zeta) at index ell (an int or an int array).
+def _phi_laurent_coeff(p: GeometricParams, z: complex, ell, r: float = 1.0):
+    """Laurent coefficient at index ell (an int or an int array) of zeta -> Phi(z, r zeta), the
+    symbol Phi(z, zeta) = f_gamma(zeta) - z omega f_gamma(zeta omega^2).
 
     c_ell = r^ell (1 - z omega^(2 ell + 1)) / (1 - gamma^(2 ell + 1)); the
     negative-index form is rebalanced by gamma^(2|ell|-1) so that both
@@ -170,35 +158,10 @@ def phi_laurent_coeff(p: GeometricParams, z: complex, ell, r: float = 1.0):
     e = 2 * np.abs(ell) + np.where(neg, -1, 1)
     ge = p.gamma ** e
     num = np.where(neg, ge - z * np.conj(p.omega) ** e, 1.0 - z * p.omega ** e)
-    c = float(r) ** ell * num / np.where(neg, ge - 1.0, 1.0 - ge)
-    return complex(c) if c.ndim == 0 else c
+    return float(r) ** ell * num / np.where(neg, ge - 1.0, 1.0 - ge)
 
 
-# --- contour sampling and winding ---------------------------------------
-
-
-@dataclass(frozen=True)
-class SymbolGrid:
-    """Samples of a circle symbol at the K-th roots of unity."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=complex)
-        k = v.size
-        if k < 256 or (k & (k - 1)) != 0:
-            raise ValidationError(f"node count must be a power of two >= 256, got {k}")
-        v = v.copy(); v.flags.writeable = False
-        object.__setattr__(self, "values", v)
-
-    @property
-    def nodes(self) -> int:
-        return self.values.size
-
-    @classmethod
-    def sample(cls, fn, k: int) -> "SymbolGrid":
-        zeta = np.exp(2j * np.pi * np.arange(k) / k)
-        return cls(np.asarray(fn(zeta), dtype=complex))
+# --- winding ---------------------------------------------------------------
 
 
 def _winding_from_values(vals: np.ndarray):
@@ -306,7 +269,7 @@ def zero_gap(gamma: float) -> ZeroGapReport:
 # --- truncated Toeplitz machinery ----------------------------------------
 
 
-def toeplitz_truncated(c, n: int) -> np.ndarray:
+def _toeplitz_truncated(c, n: int) -> np.ndarray:
     """N x N read-only A[j, k] = c_(j-k): the column-reversed sliding window of the
     2N - 1 coefficients c_(-(N-1)) .. c_(N-1), like hankel._hankel_rows."""
     if n < 1:
@@ -323,7 +286,7 @@ def _geometric_toeplitz(p: GeometricParams, z: complex, r: float, n: int) -> np.
         raise ValidationError(f"need gamma = {p.gamma:.6g} < r < 1, got r = {r}")
     if not np.isfinite(z):  # a NaN reaches the SVD, which fails; an inf warns in the coefficients
         raise ValidationError(f"z must be finite, got {z}")
-    return toeplitz_truncated(phi_laurent_coeff(p, z, np.arange(n - 1, -n, -1), r), n)
+    return _toeplitz_truncated(_phi_laurent_coeff(p, z, np.arange(n - 1, -n, -1), r), n)
 
 
 def u_via_toeplitz(p: GeometricParams, z: complex, r: float = DEFAULT_R, n: int = 20) -> complex:
@@ -361,106 +324,3 @@ def stability_scan(p: GeometricParams, z: complex, r: float, n_list) -> list[tup
             raise _singular_truncation(int(n), z)
         out.append((int(n), 1.0 / float(sv[-1])))
     return out
-
-
-# --- Wiener-Hopf factorization -------------------------------------------
-
-
-@dataclass(frozen=True)
-class WienerHopfFactors:
-    """Factorization Phi = plus * minus_bar on the sampling grid.
-
-    plus has only nonnegative Fourier modes, minus_bar only nonpositive ones.
-    """
-
-    plus_values: np.ndarray
-    minus_bar_values: np.ndarray
-
-
-def wiener_hopf_factorize(grid: SymbolGrid) -> WienerHopfFactors:
-    """Split log(Phi) by Fourier-mode sign and exponentiate.
-
-    Requires no zeros on the contour and winding index zero; the continuous
-    logarithm branch comes from unwrapped argument increments, and a branch
-    jump on the sampled grid aborts rather than being patched over.
-    """
-    vals = grid.values
-    k = grid.nodes
-    idx, max_incr = _winding_from_values(vals)
-    if max_incr >= np.pi / 2:
-        raise ValidationError(f"grid of {k} nodes too coarse to unwrap the symbol argument")
-    if idx != 0:
-        raise NonzeroIndex(f"winding index {idx} != 0: no bounded factorization")
-    phi = np.log(np.abs(vals)) + 1j * np.unwrap(np.angle(vals))
-    phih = np.fft.fft(phi) / k
-    freq = np.fft.fftfreq(k, 1.0 / k).astype(int)
-    plus_part = np.fft.ifft(np.where(freq >= 0, phih, 0.0) * k)
-    minus_part = phi - plus_part
-    return WienerHopfFactors(plus_values=np.exp(plus_part), minus_bar_values=np.exp(minus_part))
-
-
-def wiener_hopf_inverse_residual(grid: SymbolGrid, n: int) -> float:
-    """Interior-block residual of T(1/plus) T(1/minus_bar) T(Phi) against identity.
-
-    Products are applied right to left; with that order the only truncation
-    leakage decays with the negative-mode coefficients, so the middle
-    N/2 x N/2 block isolates the genuine factorization error.
-    """
-    k = grid.nodes
-    if n > k // 2:
-        raise ValidationError(f"matrix size {n} needs modes beyond the {k}-node grid")
-    f = wiener_hopf_factorize(grid)
-
-    def toeplitz_of(values):
-        ch = np.fft.fft(values) / k
-        return toeplitz_truncated(ch[np.arange(-(n - 1), n) % k], n)
-
-    t_phi = toeplitz_of(grid.values)
-    t_p = toeplitz_of(1.0 / f.plus_values)
-    t_m = toeplitz_of(1.0 / f.minus_bar_values)
-    prod = t_p @ (t_m @ t_phi)
-    inner = slice(n // 4, 3 * n // 4)
-    eye = np.eye(n, dtype=complex)
-    return float(np.abs(prod[inner, inner] - eye[inner, inner]).max())
-
-
-# --- doubly periodic cross-check ------------------------------------------
-
-
-@dataclass(frozen=True)
-class EllipticReport:
-    tau: float
-    period_residual_1: float
-    period_residual_tau: float
-    pole_coeff_residual: float
-    zero_residual: float
-
-
-def elliptic_check(p: GeometricParams) -> EllipticReport:
-    """Double periodicity, pole coefficient and half-period zero of zeta f^2.
-
-    With gamma = e^(-pi tau), g(w) = e^(2 i pi w) f_gamma(e^(2 i pi w))^2 is
-    doubly periodic for the lattice Z + i tau Z with double poles at the
-    lattice points (leading coefficient -1/(4 pi^2)) and zeros at the
-    half-period i tau / 2.
-    """
-    if abs(p.theta) > 0:
-        raise ValidationError("elliptic check is defined for theta = 0")
-    gam = p.gamma
-    tau = -math.log(gam) / math.pi
-
-    def g(w):
-        zeta = np.exp(2j * np.pi * np.asarray(w, dtype=complex))
-        return np.exp(2j * np.pi * np.asarray(w, dtype=complex)) * f_gamma(gam, zeta) ** 2
-
-    nx, ny = ELLIPTIC_GRID
-    xs = np.linspace(0.12, 0.88, nx)
-    ys = tau * np.linspace(-0.38, 0.38, ny)
-    w = (xs[:, None] + 1j * ys[None, :]).ravel()
-    res1 = float(np.abs(g(w + 1.0) - g(w)).max())
-    res_tau = float(np.abs(g(w + 1j * tau) - g(w)).max())
-    w_small = 1e-3 * np.exp(1j * np.linspace(0.2, 2.0 * np.pi - 0.2, 8))
-    pole = float(np.abs(w_small ** 2 * g(w_small) + 1.0 / (4.0 * np.pi ** 2)).max())
-    zero = float(abs(g(np.array([0.5j * tau]))[0]))
-    return EllipticReport(tau=tau, period_residual_1=res1, period_residual_tau=res_tau,
-                          pole_coeff_residual=pole, zero_residual=zero)

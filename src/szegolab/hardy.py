@@ -11,10 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import NegativeCoefficients, ValidationError
+from .errors import ValidationError
 from .fileio import FLOAT_FORMAT, read_csv
-
-TAU_POS = 1e-9  # "nonnegative real coefficient" tolerance, relative to max |u_hat|
 
 
 @dataclass(frozen=True)
@@ -153,20 +151,3 @@ def sobolev_norm(u: HardyFunction, s: float) -> float:
         raise ValidationError(f"sobolev_norm needs s >= 0, got {s}")
     t, e = _square_sum(u.coeffs, np.arange(1.0, len(u) + 1) ** (2.0 * s))
     return float(np.ldexp(np.sqrt(t), e))
-
-
-def weighted_first_moment(u: HardyFunction) -> float:
-    """Sum of n * u_hat(n), defined for nonnegative real coefficients.
-
-    Equals u'(1) when the coefficient positivity holds, which is how the
-    sup-norm of the derivative is reached for such functions.
-    """
-    re = u.coeffs.real
-    im = u.coeffs.imag
-    tol = TAU_POS * np.abs(u.coeffs).max()
-    if re.min() < -tol or np.abs(im).max() > tol:
-        n_bad = int(np.argmax(np.maximum(-re, np.abs(im))))
-        raise NegativeCoefficients(
-            f"coefficient {n_bad} = {u.coeffs[n_bad]:.3e} violates nonnegativity within {tol:.3g}")
-    n = np.arange(len(u), dtype=float)
-    return float(np.sum(n * re))

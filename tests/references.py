@@ -2,17 +2,21 @@
 
 Dense reconstruction matrices, the explicit entry bounds of C(0)^(-1), the closed form of
 C(0)^(-1) and P in mpmath, closed-form Cauchy solves, the Hankel trace, sum-rule and rank-one
-identities and the closed-form Fourier transform of the gap integrand. Independent of the
-routes the package computes by, so the tests can compare the two; not part of the package.
+identities, the first moment sum n u_hat(n), the closed-form Fourier transform of the gap
+integrand, the kernel's functional equations and Toeplitz symbol, the symbol's Wiener-Hopf
+factorization and the doubly periodic check of the kernel. Independent of the routes the
+package computes by, so the tests can compare the two; not part of the package.
 """
 
 import math
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from szegolab import (DegenerateSpectrum, HankelSpectrum, HardyFunction, SpectralData,
-                      ValidationError, b_delta)
-from szegolab.geometric import _log_nome
+from szegolab import (DegenerateSpectrum, GeometricParams, HankelSpectrum, HardyFunction,
+                      SpectralData, ValidationError, b_delta, f_gamma)
+from szegolab.geometric import _log_nome, _toeplitz_truncated, _winding_from_values
 from szegolab.hankel import _hankel_rows
 from szegolab.hardy import _relative_gap, _square_sum
 
@@ -145,3 +149,123 @@ def fhat_closed_form(gamma: float, theta_angle: float, xi: float) -> float:
     # cosh(a)/cosh(b) = e^(a-b) (1 + e^(-2a)) / (1 + e^(-2b))
     ratio = math.exp(a - b) * (1.0 + math.exp(-2.0 * a)) / (1.0 + math.exp(-2.0 * b))
     return (math.pi / (2.0 * lg)) * ratio
+
+
+def weighted_first_moment(u: HardyFunction) -> float:
+    """Sum of n * u_hat(n), defined for coefficients that are real and nonnegative to within
+    1e-9 of max |u_hat|; it equals u'(1), the sup norm of u' on the disc, for such u."""
+    re, im = u.coeffs.real, u.coeffs.imag
+    tol = 1e-9 * np.abs(u.coeffs).max()
+    if re.min() < -tol or np.abs(im).max() > tol:
+        n_bad = int(np.argmax(np.maximum(-re, np.abs(im))))
+        raise ValueError(f"coefficient {n_bad} = {u.coeffs[n_bad]:.3e} is not nonnegative within {tol:.3g}")
+    return float(np.sum(np.arange(len(u), dtype=float) * re))
+
+
+def check_functional_equations(gamma: float, zeta: complex):
+    """Residuals of f(1/zeta) = -zeta f(zeta) and f(zeta/gamma^2) = gamma f(zeta)."""
+    f0 = f_gamma(gamma, zeta)
+    return (float(abs(f_gamma(gamma, 1.0 / zeta) + zeta * f0)),
+            float(abs(f_gamma(gamma, zeta / gamma ** 2) - gamma * f0)))
+
+
+def phi_symbol(p: GeometricParams, z: complex, zeta):
+    """Symbol value f_gamma(zeta) - z omega f_gamma(zeta omega^2)."""
+    om = p.omega
+    return f_gamma(p.gamma, zeta) - z * om * f_gamma(p.gamma, np.asarray(zeta, dtype=complex) * om ** 2)
+
+
+@dataclass(frozen=True)
+class SymbolGrid:
+    """Samples of a circle symbol at the K-th roots of unity, K a power of two >= 256."""
+
+    values: np.ndarray
+
+    def __post_init__(self):
+        if self.nodes < 256 or self.nodes & (self.nodes - 1):
+            raise ValidationError(f"node count must be a power of two >= 256, got {self.nodes}")
+
+    @property
+    def nodes(self) -> int:
+        return self.values.size
+
+    @classmethod
+    def sample(cls, fn, k: int) -> "SymbolGrid":
+        return cls(np.asarray(fn(np.exp(2j * np.pi * np.arange(k) / k)), dtype=complex))
+
+
+class WienerHopfFactors(NamedTuple):
+    """Phi = plus * minus_bar on the sampling grid; plus has only nonnegative Fourier modes,
+    minus_bar only nonpositive ones."""
+
+    plus_values: np.ndarray
+    minus_bar_values: np.ndarray
+
+
+def wiener_hopf_factorize(grid: SymbolGrid) -> WienerHopfFactors:
+    """Split log(Phi) by Fourier-mode sign and exponentiate.
+
+    Requires no zeros on the contour and winding index zero; the continuous
+    logarithm branch comes from unwrapped argument increments, and a branch
+    jump on the sampled grid aborts rather than being patched over.
+    """
+    vals, k = grid.values, grid.nodes
+    idx, max_incr = _winding_from_values(vals)
+    if max_incr >= np.pi / 2:
+        raise ValidationError(f"grid of {k} nodes too coarse to unwrap the symbol argument")
+    if idx != 0:
+        raise ValueError(f"winding index {idx} != 0: no bounded factorization")
+    phi = np.log(np.abs(vals)) + 1j * np.unwrap(np.angle(vals))
+    plus_part = np.fft.ifft(np.where(np.fft.fftfreq(k, 1.0 / k) >= 0, np.fft.fft(phi), 0.0))
+    return WienerHopfFactors(np.exp(plus_part), np.exp(phi - plus_part))
+
+
+def wiener_hopf_inverse_residual(grid: SymbolGrid, n: int) -> float:
+    """Interior-block residual of T(1/plus) T(1/minus_bar) T(Phi) against identity.
+
+    Products are applied right to left; with that order the only truncation
+    leakage decays with the negative-mode coefficients, so the middle
+    N/2 x N/2 block isolates the genuine factorization error.
+    """
+    k = grid.nodes
+    if n > k // 2:
+        raise ValidationError(f"matrix size {n} needs modes beyond the {k}-node grid")
+    plus, minus_bar = wiener_hopf_factorize(grid)
+
+    def toeplitz_of(values):
+        return _toeplitz_truncated(np.fft.fft(values)[np.arange(-(n - 1), n) % k] / k, n)
+
+    prod = toeplitz_of(1.0 / plus) @ (toeplitz_of(1.0 / minus_bar) @ toeplitz_of(grid.values))
+    inner = slice(n // 4, 3 * n // 4)
+    return float(np.abs(prod[inner, inner] - np.eye(n)[inner, inner]).max())
+
+
+class EllipticReport(NamedTuple):
+    tau: float
+    period_residual_1: float
+    period_residual_tau: float
+    pole_coeff_residual: float
+    zero_residual: float
+
+
+def elliptic_check(p: GeometricParams) -> EllipticReport:
+    """Double periodicity, pole coefficient and half-period zero of zeta f^2.
+
+    With gamma = e^(-pi tau), g(w) = e^(2 i pi w) f_gamma(e^(2 i pi w))^2 is
+    doubly periodic for the lattice Z + i tau Z with double poles at the
+    lattice points (leading coefficient -1/(4 pi^2)) and zeros at the
+    half-period i tau / 2. Sampled on a 6 x 4 grid inside one period cell.
+    """
+    if abs(p.theta) > 0:
+        raise ValidationError("elliptic check is defined for theta = 0")
+    tau = -math.log(p.gamma) / math.pi
+
+    def g(w):
+        zeta = np.exp(2j * np.pi * np.asarray(w, dtype=complex))
+        return zeta * f_gamma(p.gamma, zeta) ** 2
+
+    w = (np.linspace(0.12, 0.88, 6)[:, None] + 1j * (tau * np.linspace(-0.38, 0.38, 4))).ravel()
+    w_small = 1e-3 * np.exp(1j * np.linspace(0.2, 2.0 * np.pi - 0.2, 8))
+    periods = [float(np.abs(g(w + step) - g(w)).max()) for step in (1.0, 1j * tau)]
+    pole = float(np.abs(w_small ** 2 * g(w_small) + 1.0 / (4.0 * np.pi ** 2)).max())
+    return EllipticReport(tau, *periods, pole, float(abs(g(np.array([0.5j * tau]))[0])))

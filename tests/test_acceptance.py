@@ -10,14 +10,14 @@ import time
 import numpy as np
 import pytest
 
-from szegolab import (GeometricParams, SpectralData, SymbolGrid, a_explicit,
-                      c0_inverse_sum_bound, c1_closed_form, c1_lower_bound,
-                      check_functional_equations, compare_flows, conservation_report,
-                      elliptic_check, f_gamma, geometric_spectral_data, integrate,
-                      operator_bounds, pair_singular_values, phi_symbol,
-                      reconstruct_function, reconstruct_point, stability_scan,
-                      u_via_toeplitz, weighted_first_moment, wiener_hopf_factorize,
-                      wiener_hopf_inverse_residual, winding_index, zero_gap)
+from szegolab import (GeometricParams, SpectralData, a_explicit, c0_inverse_sum_bound,
+                      c1_closed_form, c1_lower_bound, compare_flows, conservation_report, f_gamma,
+                      geometric_spectral_data, integrate, operator_bounds, pair_singular_values,
+                      reconstruct_function, reconstruct_point, stability_scan, u_via_toeplitz,
+                      winding_index, zero_gap)
+
+from references import (SymbolGrid, check_functional_equations, elliptic_check, phi_symbol,
+                        weighted_first_moment, wiener_hopf_factorize, wiener_hopf_inverse_residual)
 
 
 class Gate:

@@ -342,6 +342,9 @@ def _cap_address_space():
       "--out", "{tmp}/t.csv"], 0, "samples=17"),
     (["flow", "--data", "{tmp}/big.json", "--T", "1e-321", "--dt", "5e-324", "--modes", "8",
       "--out", "{tmp}/t.csv"], 2, "too large for max |u|"),
+    # a NaN in a comma list would leave the sorted rows out of order
+    *[(["sweep", "--task", "zero-gap", "--grid", grid, "--out", "{tmp}/z.csv"], 2, "must be finite")
+      for grid in ("0.5,nan,0.2,0.7", "inf")],
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():

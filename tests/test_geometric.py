@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from szegolab import (GeometricParams, NearPole, SingularTruncation, SymbolGrid, ValidationError,
-                      ZeroOnContour, check_functional_equations, elliptic_check, f_gamma,
-                      geometric_spectral_data, index_profile, phi_laurent_coeff, phi_symbol,
-                      poisson_gap_bound, reconstruct_point, stability_scan, toeplitz_truncated,
-                      u_via_toeplitz, wiener_hopf_factorize, wiener_hopf_inverse_residual,
-                      winding_index, zero_gap)
+from szegolab import (GeometricParams, NearPole, SingularTruncation, ValidationError, ZeroOnContour,
+                      f_gamma, geometric_spectral_data, index_profile, poisson_gap_bound,
+                      reconstruct_point, stability_scan, u_via_toeplitz, winding_index, zero_gap)
+from szegolab.geometric import _geometric_toeplitz, _phi_laurent_coeff, _toeplitz_truncated
 
-from references import fhat_closed_form
+from references import (SymbolGrid, check_functional_equations, elliptic_check, fhat_closed_form,
+                        phi_symbol, wiener_hopf_factorize, wiener_hopf_inverse_residual)
 
 GAMMA_GRID = (0.1, 0.3, 0.5, 0.7, 0.9)
 
@@ -147,7 +146,7 @@ def test_laurent_ell0():
     p = GeometricParams(h=np.log(2.0), theta=0.2)
     z = 0.7 + 0.1j
     expected = (1.0 - z * p.omega) / (1.0 - p.gamma)
-    assert abs(phi_laurent_coeff(p, z, 0) - expected) < 1e-15
+    assert abs(_phi_laurent_coeff(p, z, 0) - expected) < 1e-15
 
 
 def test_laurent_matches_contour_quadrature():
@@ -159,7 +158,7 @@ def test_laurent_matches_contour_quadrature():
     freq = np.fft.fftfreq(k, 1.0 / k).astype(int)
     for ell in range(-6, 7):
         got = dft[np.nonzero(freq == ell)[0][0]]
-        assert abs(got - phi_laurent_coeff(p, z, ell, r)) < 1e-10
+        assert abs(got - _phi_laurent_coeff(p, z, ell, r)) < 1e-10
 
 
 # --- winding ---------------------------------------------------------------------
@@ -346,12 +345,12 @@ def test_fhat_matches_quadrature():
 # --- truncated Toeplitz -------------------------------------------------------------------
 
 def test_toeplitz_constant_symbol():
-    a = toeplitz_truncated(1.0 * (np.arange(-3, 4) == 0), 4)
+    a = _toeplitz_truncated(1.0 * (np.arange(-3, 4) == 0), 4)
     assert np.array_equal(a, np.eye(4))
 
 
 def test_toeplitz_shift_symbol():
-    a = toeplitz_truncated(1.0 * (np.arange(-3, 4) == 1), 4)
+    a = _toeplitz_truncated(1.0 * (np.arange(-3, 4) == 1), 4)
     assert np.array_equal(a, np.diag(np.ones(3), -1))
     # index-1 symbol: truncations are nilpotent, hence singular
     assert np.linalg.svd(a, compute_uv=False)[-1] < 1e-13
@@ -360,25 +359,24 @@ def test_toeplitz_shift_symbol():
 def test_toeplitz_entries_and_length():
     c = np.arange(-4, 5) * (1.0 + 0.5j)  # c_m = m (1 + i/2), stored from m = -4
     jk = np.subtract.outer(np.arange(5), np.arange(5))
-    assert np.array_equal(toeplitz_truncated(c, 5), jk * (1.0 + 0.5j))
+    assert np.array_equal(_toeplitz_truncated(c, 5), jk * (1.0 + 0.5j))
     for bad in (c[:-1], np.append(c, 0.0), c.reshape(3, 3)):
         with pytest.raises(ValidationError, match="2N - 1 = 9"):
-            toeplitz_truncated(bad, 5)
+            _toeplitz_truncated(bad, 5)
 
 
 def test_geometric_toeplitz_entries():
     p = GeometricParams(h=np.log(2.0), theta=0.3)
     z, r, n = 0.5 + 0.5j, 0.9, 5
-    from szegolab.geometric import _geometric_toeplitz
     t = _geometric_toeplitz(p, z, r, n)
     for j in range(n):
         for k in range(n):
-            assert abs(t[j, k] - phi_laurent_coeff(p, z, k - j, r)) < 1e-14
+            assert abs(t[j, k] - _phi_laurent_coeff(p, z, k - j, r)) < 1e-14
 
 
 def test_stability_constant_symbol():
     # symbol identically 1 corresponds to h -> infinity limits; emulate directly
-    a = toeplitz_truncated(1.0 * (np.arange(-7, 8) == 0), 8)
+    a = _toeplitz_truncated(1.0 * (np.arange(-7, 8) == 0), 8)
     assert abs(1.0 / np.linalg.svd(a, compute_uv=False)[-1] - 1.0) < 1e-14
 
 
@@ -536,9 +534,8 @@ def test_wh_inverse_size_limited_by_grid():
 
 
 def test_wh_rejects_nonzero_index():
-    from szegolab import NonzeroIndex
     grid = SymbolGrid.sample(lambda zz: zz, k=256)
-    with pytest.raises(NonzeroIndex):
+    with pytest.raises(ValueError, match="winding index 1"):
         wiener_hopf_factorize(grid)
 
 

@@ -12,12 +12,12 @@ from szegolab import (AnglesNotZero, C1LowerBounds, DegenerateSpectrum, Singular
                       ValidationError, a_explicit, b_delta, c0_inverse_sum_bound, c1_closed_form,
                       c1_lower_bound, cauchy_neumann_factors, operator_bounds,
                       pair_singular_values, reconstruct_function, reconstruct_point,
-                      taylor_coefficients, weighted_first_moment)
+                      taylor_coefficients)
 from szegolab import inverse as inverse_mod
 
 from disc_extraction import coeffs_from_disc_samples
 from references import (build_c_matrix, build_cdot_matrix, cauchy_factors_mpmath, cauchy_ones_solve,
-                        entry_bound_table)
+                        entry_bound_table, weighted_first_moment)
 
 PAIR1 = SpectralData(np.array([1.0, 0.5]), np.zeros(2))
 
