@@ -5,10 +5,11 @@ shifted (u_hat(n+p+1)): the first and last m rows of one (m+1) x m array H.
 Their singular values come from one SVD each of the two row ranges of B = H Q,
 where H is now the leading block of that array the coefficients occupy and Q is
 either the identity or an orthonormal basis of the span of H's first
-SKETCH_WIDTH rows: a Hankel operator of finite rank r has a nonsingular leading
-r x r section (Kronecker), so its first r rows span its row space. The sketch is
-taken when a residual certificate, which holds for any orthonormal Q, proves it:
-with R = H - B Q* = H (I - Q Q*) and A, A_B, R_A the same rows of H, B, R,
+SKETCH_WIDTH rows, as wide as their numerical rank: a Hankel operator of finite
+rank r has a nonsingular leading r x r section (Kronecker), so its first r rows
+span its row space. The sketch is taken when a residual certificate, which holds
+for any orthonormal Q, proves it: with R = H - B Q* = H (I - Q Q*) and A, A_B, R_A
+the same rows of H, B, R,
 A A* = A_B A_B* + R_A R_A*, so 0 <= s_j(A)^2 - s_j(A_B)^2 <= ||R||^2 for every j,
 and s_j(A) <= ||R|| past the sketch width; pair_singular_values states the two
 conditions on ||R||_F that turn this into the eps * s_1 contract of the trim, all on
@@ -28,7 +29,7 @@ from .hardy import HardyFunction, _padded, _pow2_scaled, _square_sum
 TAU_RANK = 1e-6    # relative singular-value cutoff for numerical rank
 TAU_EIG = 1e-9     # distinctness / interlacing slack, relative to the largest value
 TAIL_RTOL = 1e-10  # largest tolerated tail_mass / total trace
-SKETCH_WIDTH = 16  # columns of the row-space sketch; narrower blocks than twice this are not sketched
+SKETCH_WIDTH = 16  # rows the sketch probes, so its widest; narrower blocks than twice this are not sketched
 
 
 def _hankel_rows(c: np.ndarray, m: int) -> np.ndarray:
@@ -112,7 +113,11 @@ def _sketched_spectra(h: np.ndarray) -> list[np.ndarray] | None:
     """Singular values of rows 0..k-1 and 1..k of B = h Q for the contiguous (k+1) x k
     block h, or None when the certificate fails for either (see pair_singular_values)."""
     k = h.shape[1]
-    q = np.linalg.qr(h[:SKETCH_WIDTH].conj().T)[0]
+    q, r = np.linalg.qr(h[:SKETCH_WIDTH].conj().T)
+    # keep the columns whose |r_ii| lies above 64 eps of the largest, as many as the numerical
+    # rank of h's first rows; a subset of q's columns is orthonormal, so the certificate stands
+    diag = np.abs(r.diagonal())
+    q = q[:, diag > 64 * np.finfo(float).eps * diag.max()]
     b = h @ q
     # unit: the smaller Frobenius norm of b's two row ranges, at least that range's s_0
     unit = min(np.linalg.norm(a) for a in (b[:-1], b[1:]))
@@ -154,16 +159,20 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     partial permutation, so their operator norm is at most that sum (Weyl), while
     s_1 >= ||H e_0|| = ||u_hat(0..m-1)||_2.
 
-    Both lists then come from B = H Q, H now the (k+1) x k block, with Q the k x l
-    orthonormal factor of H[:l]*, H's first l = SKETCH_WIDTH rows, when k >= 2l and
-    the certificate below holds for both row ranges, and Q the identity otherwise,
-    which leaves the dense SVD of the block. The sketch costs O(k^2 l). A Hankel
-    operator of finite rank r <= l, as on the rational data of the tori, has its row
-    space spanned by its first r rows (Kronecker). The map
+    Both lists then come from B = H Q, H now the (k+1) x k block, when k >= 2 SKETCH_WIDTH
+    and the certificate below holds for both row ranges, and Q the identity otherwise,
+    which leaves the dense SVD of the block. With H[:SKETCH_WIDTH]* = Q_0 R, Q keeps the
+    columns i of Q_0 with |R_ii| above 64 eps max |R_ii|, so its width l is the numerical
+    rank of those rows, and the sketch costs O(k^2 l). A Hankel operator of
+    finite rank r <= SKETCH_WIDTH, as on the rational data of the tori, has its row space
+    spanned by its first r rows (Kronecker), whose R_ii are nonzero, while those of the
+    rows after lie at rounding level once the block is trimmed: l = r there. A block
+    untrimmed at k = m ends in the zeros past the cut, which break the rank-r recurrence
+    in its last columns, and may keep more. The map
     u_hat(n) -> lam e^{i theta} e^{i n phi} u_hat(n) takes H to c D H D', with
-    c = lam e^{i theta} and D, D' diagonal unitary, and H[:l] with it; so in exact
-    arithmetic Q goes to D'* Q E and B to c D B E, E diagonal unitary, and the route
-    commutes with scaling, phase and rotation.
+    c = lam e^{i theta} and D, D' diagonal unitary, and H[:SKETCH_WIDTH] with it; so in
+    exact arithmetic |R_ii| scales by |c|, Q goes to D'* Q E and B to c D B E, E diagonal
+    unitary, and the route commutes with scaling, phase and rotation.
 
     Certificate, for any orthonormal Q: let R = H - B Q* = H (I - Q Q*), A a row range
     of H and A_B, R_A the same rows of B, R. Then A = A_B Q* + R_A with

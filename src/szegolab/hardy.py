@@ -147,7 +147,7 @@ def _padded(c: np.ndarray, n: int) -> np.ndarray:
 
 def sobolev_norm(u: HardyFunction, s: float) -> float:
     """Sqrt of sum (1+n)^(2s) |u_hat(n)|^2 for s >= 0, summed on a power of two (_square_sum)."""
-    if s < 0:
+    if not s >= 0:  # NaN trips too
         raise ValidationError(f"sobolev_norm needs s >= 0, got {s}")
     t, e = _square_sum(u.coeffs, np.arange(1.0, len(u) + 1) ** (2.0 * s))
     return float(np.ldexp(np.sqrt(t), e))

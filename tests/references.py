@@ -1,11 +1,12 @@
 """Reference formulas and identity checks the tests compare the package against.
 
 Dense reconstruction matrices, the explicit entry bounds of C(0)^(-1), the closed form of
-C(0)^(-1) and P in mpmath, closed-form Cauchy solves, the Hankel trace, sum-rule and rank-one
-identities, the first moment sum n u_hat(n), the closed-form Fourier transform of the gap
-integrand, the kernel's functional equations and Toeplitz symbol, the symbol's Wiener-Hopf
-factorization and the doubly periodic check of the kernel. Independent of the routes the
-package computes by, so the tests can compare the two; not part of the package.
+C(0)^(-1) and P in mpmath and the Taylor coefficients it gives, closed-form Cauchy solves, the
+Hankel trace, sum-rule and rank-one identities, the first moment sum n u_hat(n), the
+closed-form Fourier transform of the gap integrand, the kernel's functional equations and
+Toeplitz symbol, the symbol's Wiener-Hopf factorization and the doubly periodic check of the
+kernel. Independent of the routes the package computes by, so the tests can compare the two;
+not part of the package.
 """
 
 import math
@@ -57,6 +58,25 @@ def entry_bound_table(d: SpectralData):
     return abs_entries, bounds, abs_entries <= bounds
 
 
+def _cauchy_factors_mp(d: SpectralData):
+    """C(0)^(-1) and P as nested lists of mpmath numbers at the caller's working precision."""
+    import mpmath as mp
+
+    n = d.n_pairs
+    rho, sig = ([mp.mpf(float(v)) for v in a] for a in (d.s_odd, d.s_even))
+    x, y = [r * r for r in rho], [s * s for s in sig]
+    a = [mp.fprod(x[j] - y[l] for l in range(n)) / mp.fprod(x[j] - x[l] for l in range(n) if l != j)
+         for j in range(n)]
+    b = [mp.fprod(x[l] - y[k] for l in range(n)) / mp.fprod(y[l] - y[k] for l in range(n) if l != k)
+         for k in range(n)]
+    cinv = [[mp.expj(-mp.mpf(float(d.psi_odd[j]))) * a[j] * b[k] / ((x[j] - y[k]) * rho[j])
+             for j in range(n)] for k in range(n)]
+    cdot = [[sig[l] * mp.expj(mp.mpf(float(d.psi_even[l]))) / (x[j] - y[l]) for l in range(n)]
+            for j in range(n)]
+    p = [[mp.fsum(cinv[k][j] * cdot[j][l] for j in range(n)) for l in range(n)] for k in range(n)]
+    return cinv, p
+
+
 def cauchy_factors_mpmath(d: SpectralData, dps: int = 50):
     """C(0)^(-1) and P = C(0)^(-1) Cdot from their closed form in mpmath at dps digits, rounded once.
 
@@ -69,20 +89,24 @@ def cauchy_factors_mpmath(d: SpectralData, dps: int = 50):
     """
     import mpmath as mp
 
-    n = d.n_pairs
     with mp.workdps(dps):
-        rho, sig = ([mp.mpf(float(v)) for v in a] for a in (d.s_odd, d.s_even))
-        x, y = [r * r for r in rho], [s * s for s in sig]
-        a = [mp.fprod(x[j] - y[l] for l in range(n)) / mp.fprod(x[j] - x[l] for l in range(n) if l != j)
-             for j in range(n)]
-        b = [mp.fprod(x[l] - y[k] for l in range(n)) / mp.fprod(y[l] - y[k] for l in range(n) if l != k)
-             for k in range(n)]
-        cinv = [[mp.expj(-mp.mpf(float(d.psi_odd[j]))) * a[j] * b[k] / ((x[j] - y[k]) * rho[j])
-                 for j in range(n)] for k in range(n)]
-        cdot = [[sig[l] * mp.expj(mp.mpf(float(d.psi_even[l]))) / (x[j] - y[l]) for l in range(n)]
-                for j in range(n)]
-        p = [[mp.fsum(cinv[k][j] * cdot[j][l] for j in range(n)) for l in range(n)] for k in range(n)]
-        return tuple(np.array([[complex(v) for v in row] for row in m]) for m in (cinv, p))
+        return tuple(np.array([[complex(v) for v in row] for row in m]) for m in _cauchy_factors_mp(d))
+
+
+def taylor_mpmath(d: SpectralData, m: int, dps: int = 50) -> np.ndarray:
+    """u_hat(n) = 1^T P^n c for n < m, c the row sums of C(0)^(-1), by the plain recursion
+    v -> P v on the closed-form c and P of cauchy_factors_mpmath, all at dps digits; each
+    coefficient is rounded once."""
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        cinv, p = _cauchy_factors_mp(d)
+        v = [mp.fsum(row) for row in cinv]
+        out = []
+        for _ in range(m):
+            out.append(complex(mp.fsum(v)))
+            v = [mp.fsum(a * b for a, b in zip(row, v)) for row in p]
+        return np.array(out)
 
 
 def cauchy_ones_solve(rho: np.ndarray, sigma: np.ndarray):

@@ -145,6 +145,18 @@ def chain(n_pairs, seed, m=256, ratios=(0.45, 0.7)):
     return reconstruct_function(SpectralData(s, rng.uniform(0, 2 * np.pi, 2 * n_pairs)), m)
 
 
+def resolved_chain(n_pairs, seed, m=256):
+    """chain(n_pairs, s, m) for the first s >= seed whose coefficients past m modes sum to at
+    most eps times the norm of those before: a derandomized property then draws only data that
+    its cut at m resolves, whatever examples the source's literals steer it to."""
+    while True:
+        u = chain(n_pairs, seed, 2 * m)
+        a = np.abs(u.coeffs)
+        if a[m:].sum() <= np.finfo(float).eps * np.hypot.reduce(a[:m]):
+            return HardyFunction(u.coeffs[:m])
+        seed += 1
+
+
 def plateau():
     # 0.905^n cut at n = 255, |u_hat(255)| = 1.6e-12 s_1: the section's corner leaves a
     # plateau of values near that level
@@ -205,13 +217,53 @@ def test_failed_certificate_gives_the_dense_values(u, k, monkeypatch):
     assert np.array_equal(spec.sigma, dense_values(_hankel_rows(u.coeffs, k)[1:]))
 
 
+def spy_sketches(monkeypatch):
+    """Record the width of each sketch B = H Q, read from the residual's row chunks of B, and
+    the lists each sketch returns."""
+    widths, lists = [], []
+    real_matmul, real_sketch = np.matmul, hankel_mod._sketched_spectra
+
+    def matmul(a, *args, **kwargs):
+        widths.append(np.shape(a)[1])
+        return real_matmul(a, *args, **kwargs)
+
+    def sketch(h):
+        lists.append(real_sketch(h))
+        return lists[-1]
+    monkeypatch.setattr(np, "matmul", matmul)
+    monkeypatch.setattr(hankel_mod, "_sketched_spectra", sketch)
+    return widths, lists
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_sketch_is_as_wide_as_the_rank(n, monkeypatch):
+    # the first rows of the block of an n-pair chain have numerical rank n, so Q keeps n
+    # columns, and the certified lists hold n values each
+    u = chain(n, n)
+    widths, lists = spy_sketches(monkeypatch)
+    pair_singular_values(u, 256)
+    assert set(widths) == {n}
+    assert len(lists) == 1 and [s.size for s in lists[0]] == [n, n]
+
+
+@pytest.mark.parametrize("u", [
+    HardyFunction(np.random.default_rng(6).standard_normal(256)
+                  + 1j * np.random.default_rng(7).standard_normal(256)),  # full rank
+    HardyFunction(np.eye(101)[100]),                                      # z^100
+])
+def test_sketch_of_full_rank_rows_keeps_every_column(u, monkeypatch):
+    widths, lists = spy_sketches(monkeypatch)
+    pair_singular_values(u, 256)
+    assert set(widths) == {SKETCH_WIDTH} and lists == [None]
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(n=st.integers(1, 6), seed=st.integers(0, 10 ** 6), lam=st.floats(1e-12, 1e3),
        theta=st.floats(0, 2 * np.pi, exclude_max=True), phi=st.floats(0, 2 * np.pi, exclude_max=True))
 def test_sketch_commutes_with_scaling_phase_and_rotation(n, seed, lam, theta, phi):
     # lam e^{i theta} u_hat(n) e^{i n phi} maps H to lam e^{i theta} D H D' with D, D' diagonal
     # unitary, and the leading rows with it: the same decisions, counts and values / lam
-    u = chain(n, seed)
+    u = resolved_chain(n, seed)
     m = len(u)
     v = HardyFunction(lam * np.exp(1j * (theta + phi * np.arange(m))) * u.coeffs)
     runs = []
@@ -233,21 +285,22 @@ def test_power_of_two_scaling_is_exact(n, seed, t):
     # is the transform: rho and sigma scale by 2^k and the tail mass by 2^(2k)
     u = chain(n, seed)
     parts = np.abs(u.coeffs.view(float))
-    # k keeps every nonzero coefficient part normal, and 2^k rho_1 and 2^(2k) tail mass finite
+    # k keeps every nonzero coefficient part normal, and 2^k rho_1 and 2^(2k) tail mass finite;
+    # k may pass 1023 where max|u_hat| < 1/2, beyond a float 2^k, so each part takes ldexp
     lo = -1021 - np.frexp(parts[parts > 0].min())[1]
     try:
         base = pair_singular_values(u, 192)
     except InsufficientTruncation:  # a slowly decaying chain: the guard trips at every scale alike
         k = int(lo + round(t * (1023 - np.frexp(parts.max())[1] - lo)))
         with pytest.raises(InsufficientTruncation):
-            pair_singular_values(HardyFunction(2.0 ** k * u.coeffs), 192)
+            pair_singular_values(HardyFunction(np.ldexp(u.coeffs.view(float), k).view(complex)), 192)
         return
     hi = min(1023 - np.frexp(max(parts.max(), base.rho[0]))[1],
              (1023 - np.frexp(base.tail_mass)[1]) // 2)
     k = int(lo + round(t * (hi - lo)))
-    got = pair_singular_values(HardyFunction(2.0 ** k * u.coeffs), 192)
-    assert np.array_equal(got.rho, 2.0 ** k * base.rho)
-    assert np.array_equal(got.sigma, 2.0 ** k * base.sigma)
+    got = pair_singular_values(HardyFunction(np.ldexp(u.coeffs.view(float), k).view(complex)), 192)
+    assert np.array_equal(got.rho, np.ldexp(base.rho, k))
+    assert np.array_equal(got.sigma, np.ldexp(base.sigma, k))
     assert got.tail_mass == np.ldexp(base.tail_mass, 2 * k)
 
 

@@ -269,3 +269,6 @@ def test_validation_errors():
         HardyFunction(np.array([]))
     with pytest.raises(ValidationError):
         HardyFunction(np.array([np.nan]))
+    for s in (-0.5, -np.inf, np.nan):  # a NaN order fails the s >= 0 test too
+        with pytest.raises(ValidationError, match="s >= 0"):
+            sobolev_norm(geometric_function(), s)

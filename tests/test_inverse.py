@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -17,7 +18,7 @@ from szegolab import inverse as inverse_mod
 
 from disc_extraction import coeffs_from_disc_samples
 from references import (build_c_matrix, build_cdot_matrix, cauchy_factors_mpmath, cauchy_ones_solve,
-                        entry_bound_table, weighted_first_moment)
+                        entry_bound_table, taylor_mpmath, weighted_first_moment)
 
 PAIR1 = SpectralData(np.array([1.0, 0.5]), np.zeros(2))
 
@@ -360,17 +361,40 @@ def test_unknown_method():
 
 # --- function reconstruction ---------------------------------------------------
 
-def test_taylor_matches_the_allocating_loop():
-    # the buffered recursion does the same sums and products as the loop that allocated each step
+def test_taylor_matches_the_mpmath_recursion():
+    # every coefficient against the plain recursion on the closed-form c and P at 50 digits:
+    # normwise within 4 eps of max|u_hat|, and within 1e-12 of the largest coefficient from it on
+    # wherever that lies above 1e-12 of the peak (worst on these data: 2.73 eps and 1.6e-13,
+    # and 2.73 eps and 1.8e-13 for the one-step-at-a-time loop); s -> 2^k s scales them exactly
+    eps = np.finfo(float).eps
     rng = np.random.default_rng(11)
     for n in (1, 2, 7, 30):
         d = SpectralData(np.cumprod(rng.uniform(0.3, 0.9, 2 * n)), rng.uniform(-np.pi, np.pi, 2 * n))
-        c, p = cauchy_neumann_factors(d)
-        want, v = [], c
-        for _ in range(300):
-            want.append(v.sum())
-            v = p @ v
-        assert taylor_coefficients(d, 300).tobytes() == np.array(want).tobytes()
+        got, want = taylor_coefficients(d, 300), taylor_mpmath(d, 300)
+        err = np.abs(got - want)
+        later = np.maximum.accumulate(np.abs(want)[::-1])[::-1]
+        assert err.max() <= 4 * eps * later[0]
+        kept = later >= 1e-12 * later[0]
+        assert np.all(err[kept] <= 1e-12 * later[kept])
+        for k in (-60, 60):
+            assert np.array_equal(taylor_coefficients(SpectralData(np.ldexp(d.s, k), d.psi), 300),
+                                  got * 2.0 ** k)
+
+
+def test_taylor_workspace_is_of_the_result_size():
+    # baby steps and giant steps hold N (a + w) numbers beside the result, a and w near sqrt(m);
+    # an N x m layout would take 50 MiB here, at N = 50 pairs
+    m = 2 ** 16
+    d = random_data(np.random.default_rng(12), 50)
+    cauchy_neumann_factors(d)  # the factors are built before the trace starts
+    tracemalloc.start()
+    try:
+        out = taylor_coefficients(d, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.size == m
+    assert peak < 2 * out.nbytes
 
 
 def test_reconstruct_geometric_series():
