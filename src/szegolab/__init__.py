@@ -15,7 +15,7 @@ from .flow import (ConservationRow, FlowState, compare_flows, conservation_repor
 from .geometric import (GeometricParams, ZeroGapReport, f_gamma, geometric_spectral_data,
                         index_profile, poisson_gap_bound, stability_scan, u_via_toeplitz,
                         winding_index, zero_gap)
-from .hankel import HankelSpectrum, pair_singular_values, tail_mass
+from .hankel import HankelSpectrum, pair_singular_values
 from .hardy import HardyFunction, sobolev_norm
 from .inverse import (C1LowerBounds, OperatorBounds, SpectralData, a_explicit, b_delta,
                       c0_inverse_sum_bound, c1_closed_form, c1_lower_bound,
@@ -36,7 +36,7 @@ __all__ = [
     "GeometricParams", "ZeroGapReport", "f_gamma", "geometric_spectral_data", "index_profile",
     "poisson_gap_bound", "stability_scan", "u_via_toeplitz", "winding_index", "zero_gap",
     # hankel
-    "HankelSpectrum", "pair_singular_values", "tail_mass",
+    "HankelSpectrum", "pair_singular_values",
     # hardy
     "HardyFunction", "sobolev_norm",
     # inverse

@@ -63,10 +63,3 @@ def load_json(path):
         # bad syntax, bad UTF-8, a duplicate key, an integer past the digit limit, or arrays
         # or objects nested past the interpreter's recursion limit
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
-
-
-def dump_json(obj, path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as f:
-        json.dump(obj, f, indent=2)
-        f.write("\n")

@@ -27,7 +27,7 @@ from .fileio import write_csv
 from .hardy import HardyFunction, _padded, _pow2_scaled, _square_sum
 
 TAU_RANK = 1e-6    # relative singular-value cutoff for numerical rank
-TAU_EIG = 1e-9     # distinctness / interlacing slack, relative to the largest value
+TAU_EIG = 1e-9     # distinctness slack, relative to the largest value
 TAIL_RTOL = 1e-10  # largest tolerated tail_mass / total trace
 SKETCH_WIDTH = 16  # rows the sketch probes, so its widest; narrower blocks than twice this are not sketched
 
@@ -43,15 +43,6 @@ def _hankel_rows(c: np.ndarray, m: int) -> np.ndarray:
 def _tail_sum(u: HardyFunction, m: int) -> tuple[float, int]:
     """(t, e) with sum over n >= m of (1+n) |u_hat(n)|^2 = t 4^e, on the tail's own power of two."""
     return _square_sum(u.coeffs[m:], np.arange(m + 1.0, len(u) + 1))
-
-
-def tail_mass(u: HardyFunction, m: int) -> float:
-    """Discarded trace: sum over n >= m of (1+n) |u_hat(n)|^2, summed on the tail's own power
-    of two, so it is subnormal or inf only where its true value is."""
-    if m < 0:
-        raise ValidationError(f"truncation index must be >= 0, got {m}")
-    t, e = _tail_sum(u, m)
-    return float(np.ldexp(t, 2 * e))
 
 
 @np.errstate(over="ignore")
@@ -90,10 +81,6 @@ class HankelSpectrum:
         n = min(self.rho.size, self.sigma.size)
         pairs = np.column_stack((self.rho[:n], self.sigma[:n])).ravel()
         return np.concatenate((pairs, self.rho[n:], self.sigma[n:]))
-
-    def interlacing_ok(self) -> bool:
-        s = self.merged()
-        return bool(s.size == 0 or np.all(s[:-1] >= s[1:] - TAU_EIG * s[0]))
 
     def save_csv(self, path) -> None:
         rows = [(j + 1, "rho", float(v)) for j, v in enumerate(self.rho)]

@@ -6,6 +6,7 @@ u_hat(0..M-1); everything here is a pure function of those coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,65 +43,37 @@ class HardyFunction:
 
     @classmethod
     def load_csv(cls, path) -> "HardyFunction":
-        """Rows n,re,im, each n in 0..rows-1 once. Each check runs over all rows; a fault names
-        the first offending row in file order, with the first check that row fails."""
+        """Rows n,re,im, each n in 0..rows-1 once. A fault names the first offending row in file
+        order, with the first check that row fails."""
         header, rows = read_csv(path)
         if [h.strip() for h in header] != ["n", "re", "im"]:
             raise ValidationError(f"{path}: expected header n,re,im, got {header}")
         if not rows:
             raise ValidationError(f"{path}: no coefficient rows")
         size = len(rows)
-        end, fault = size, None  # later checks look only at the rows before the first fault
-        if set(map(len, rows)) - {3}:
-            end = next(i for i, row in enumerate(rows) if len(row) != 3)
-            fault = "need exactly 3 fields n,re,im"
-        # int and float read 1_0 as 10 and ١ as 1, and strip an em space
-        text = "".join(map("".join, rows[:end]))
-        if "_" in text or not text.isascii():
-            end = next(i for i, row in enumerate(rows) if "_" in "".join(row) or not "".join(row).isascii())
-            fault = "non-ASCII and underscores are not accepted"
-        try:
-            n, real, imag = _parse_columns(rows[:end])
-        except ValueError:
-            end, exc = next((i, exc) for i, row in enumerate(rows[:end]) if (exc := _parse_error(row)))
-            fault = str(exc)
-            n, real, imag = _parse_columns(rows[:end])
-        finite = np.isfinite(real) & np.isfinite(imag)
-        if not finite.all():
-            end = int(finite.argmin())
-            fault = "re and im must be finite"
-            n = n[:end]
-        # `end` distinct indices in 0..size-1; with end = size they leave no gap
-        if n and not (min(n) >= 0 and max(n) < size):
-            end = next(i for i, k in enumerate(n) if not 0 <= k < size)
-            fault = f"n = {n[end]} outside 0..{size - 1}, so some index is missing"
-        idx = np.array(n[:end], dtype=np.intp)
-        repeat = np.ones(end, dtype=bool)
-        repeat[np.unique(idx, return_index=True)[1]] = False
-        if repeat.any():
-            end = int(repeat.argmax())
-            fault = f"n = {n[end]} repeated"
-        if fault is not None:
-            raise ValidationError(f"{path}: bad row {rows[end]}: {fault}")
-        coeffs = np.zeros(size, dtype=complex)
-        coeffs.real[idx] = real  # real and imaginary parts apart, so -0.0 keeps its sign
-        coeffs.imag[idx] = imag
+        real, imag, seen = [0.0] * size, [0.0] * size, set()
+        for row in rows:
+            try:
+                if len(row) != 3:
+                    raise ValueError("need exactly 3 fields n,re,im")
+                # int and float read 1_0 as 10 and ١ as 1, and strip an em space
+                if "_" in (text := "".join(row)) or not text.isascii():
+                    raise ValueError("non-ASCII and underscores are not accepted")
+                n, re, im = int(row[0]), float(row[1]), float(row[2])
+                if not (math.isfinite(re) and math.isfinite(im)):
+                    raise ValueError("re and im must be finite")
+                # size distinct indices in 0..size-1 leave no gap
+                if not 0 <= n < size:
+                    raise ValueError(f"n = {n} outside 0..{size - 1}, so some index is missing")
+                if n in seen:
+                    raise ValueError(f"n = {n} repeated")
+            except ValueError as exc:
+                raise ValidationError(f"{path}: bad row {row}: {exc}") from exc
+            seen.add(n)
+            real[n], imag[n] = re, im
+        coeffs = np.empty(size, dtype=complex)
+        coeffs.real, coeffs.imag = real, imag  # apart, so -0.0 keeps its sign
         return cls(coeffs)
-
-
-def _parse_columns(rows):
-    """Lists n, re, im of 3-field rows, through int and float; raises their ValueError."""
-    ns, res, ims = zip(*rows) if rows else ((), (), ())
-    return list(map(int, ns)), list(map(float, res)), list(map(float, ims))
-
-
-def _parse_error(row):
-    """The ValueError that _parse_columns raises on the one 3-field row, None if it raises none."""
-    try:
-        _parse_columns([row])
-    except ValueError as exc:
-        return exc
-    return None
 
 
 def _pow2_scaled(a: np.ndarray) -> tuple[np.ndarray, int]:

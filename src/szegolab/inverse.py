@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import AnglesNotZero, DegenerateSpectrum, SingularMatrix, ValidationError
-from .fileio import dump_json, load_json
+from .fileio import load_json
 from .hardy import HardyFunction, _pow2_product
 
 EPS_DEN = 1e-13    # relative-cancellation threshold for s_odd^2 - s_even^2
@@ -95,9 +95,6 @@ class SpectralData:
         """Largest consecutive ratio s_(r+1)/s_r."""
         return float(np.max(self._ratios))
 
-    def to_json_obj(self) -> dict:
-        return {"pairs": [{"s": float(sr), "psi": float(pr)} for sr, pr in zip(self.s, self.psi)]}
-
     @classmethod
     def from_json_obj(cls, obj) -> "SpectralData":
         try:
@@ -121,9 +118,6 @@ class SpectralData:
     @classmethod
     def load_json(cls, path) -> "SpectralData":
         return cls.from_json_obj(load_json(path))
-
-    def save_json(self, path) -> None:
-        dump_json(self.to_json_obj(), path)
 
 
 def _check_denominators(d: SpectralData) -> None:

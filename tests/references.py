@@ -2,11 +2,12 @@
 
 Dense reconstruction matrices, the explicit entry bounds of C(0)^(-1), the closed form of
 C(0)^(-1) and P in mpmath and the Taylor coefficients it gives, closed-form Cauchy solves, the
-Hankel trace, sum-rule and rank-one identities, the first moment sum n u_hat(n), the
-closed-form Fourier transform of the gap integrand, the kernel's functional equations and
-Toeplitz symbol, the symbol's Wiener-Hopf factorization and the doubly periodic check of the
-kernel. Independent of the routes the package computes by, so the tests can compare the two;
-not part of the package.
+Hankel trace, sum-rule and rank-one identities, the tail mass and the interlacing check, a
+row-by-row coefficient CSV reader, the first moment sum n u_hat(n), the closed-form Fourier
+transform of the gap integrand, the kernel's functional equations and Toeplitz symbol, the
+symbol's Wiener-Hopf factorization and the doubly periodic check of the kernel. Independent
+of the routes the package computes by, so the tests can compare the two; not part of the
+package.
 """
 
 import math
@@ -18,7 +19,8 @@ import numpy as np
 from szegolab import (DegenerateSpectrum, GeometricParams, HankelSpectrum, HardyFunction,
                       SpectralData, ValidationError, b_delta, f_gamma)
 from szegolab.geometric import _log_nome, _toeplitz_truncated, _winding_from_values
-from szegolab.hankel import _hankel_rows
+from szegolab.fileio import read_csv
+from szegolab.hankel import TAU_EIG, _hankel_rows, _tail_sum
 from szegolab.hardy import _relative_gap, _square_sum
 
 
@@ -157,6 +159,51 @@ def sum_rule_residual(u: HardyFunction, spectrum: HankelSpectrum) -> float:
     to the second sum, as check_trace_identity is."""
     return _relative_gap(_square_sum(np.concatenate((spectrum.rho, spectrum.sigma)), 1.0),
                          _square_sum(u.coeffs, np.arange(1.0, 2 * len(u), 2)))
+
+
+def tail_mass(u: HardyFunction, m: int) -> float:
+    """Discarded trace: sum over n >= m of (1+n) |u_hat(n)|^2, summed on the tail's own power
+    of two, so it is subnormal or inf only where its true value is."""
+    if m < 0:
+        raise ValidationError(f"truncation index must be >= 0, got {m}")
+    t, e = _tail_sum(u, m)
+    return float(np.ldexp(t, 2 * e))
+
+
+def interlacing_ok(spectrum: HankelSpectrum) -> bool:
+    """Whether the merged list rho_1, sigma_1, rho_2, ... descends, to within TAU_EIG * s_1."""
+    s = spectrum.merged()
+    return bool(s.size == 0 or np.all(s[:-1] >= s[1:] - TAU_EIG * s[0]))
+
+
+def load_by_rows(path):
+    """The row-by-row reader that HardyFunction.load_csv is checked against: per-row complex()
+    and np.isfinite, and no header check."""
+    _, rows = read_csv(path)
+    if not rows:
+        raise ValidationError(f"{path}: no coefficient rows")
+    coeffs = np.zeros(len(rows), dtype=complex)
+    seen = set()
+    for row in rows:
+        if len(row) != 3:
+            raise ValidationError(f"{path}: bad row {row}: need exactly 3 fields n,re,im")
+        if any("_" in field or not field.isascii() for field in row):
+            raise ValidationError(f"{path}: bad row {row}: non-ASCII and underscores are not accepted")
+        try:
+            n = int(row[0])
+            value = complex(float(row[1]), float(row[2]))
+        except ValueError as exc:
+            raise ValidationError(f"{path}: bad row {row}: {exc}") from exc
+        if not np.isfinite(value):
+            raise ValidationError(f"{path}: bad row {row}: re and im must be finite")
+        if not 0 <= n < len(rows):
+            raise ValidationError(f"{path}: bad row {row}: n = {n} outside 0..{len(rows) - 1}, "
+                                  f"so some index is missing")
+        if n in seen:
+            raise ValidationError(f"{path}: bad row {row}: n = {n} repeated")
+        seen.add(n)
+        coeffs[n] = value
+    return HardyFunction(coeffs)
 
 
 def fhat_closed_form(gamma: float, theta_angle: float, xi: float) -> float:

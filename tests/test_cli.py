@@ -14,7 +14,7 @@ from szegolab import SpectralData, a_explicit
 from szegolab.cli import build_parser, main
 from szegolab.fileio import read_csv
 
-from references import cauchy_factors_mpmath
+from references import cauchy_factors_mpmath, load_by_rows
 
 
 @pytest.fixture
@@ -211,6 +211,48 @@ def test_spectrum_bad_index_csv_exit_2(tmp_path, capsys):
     coeffs.write_text("n,re,im\n0,1,0\n1,0.5,0\n2,0.25,0\n-1,9,0\n1,0.7,0\n")
     assert main(["spectrum", "--coeffs", str(coeffs), "--M", "8"]) == 2
     assert "['-1', '9', '0']" in capsys.readouterr().err
+
+
+# each takes the fields of one row of a valid 8-row coefficient file and the n of the next row;
+# "\udcff" is written as the byte 0xff, which is not UTF-8
+ROW_MUTATIONS = {
+    "none": lambda row, n_next: row,
+    "drop-field": lambda row, n_next: row[:2],
+    "add-field": lambda row, n_next: row + ["0"],
+    "repeat-n": lambda row, n_next: [n_next] + row[1:],
+    "shift-n-up": lambda row, n_next: [str(int(row[0]) + 1)] + row[1:],
+    "shift-n-down": lambda row, n_next: [str(int(row[0]) - 1)] + row[1:],
+    "underscore": lambda row, n_next: [row[0], "1_0", row[2]],
+    "non-ascii-digit": lambda row, n_next: [row[0], row[1], "\u0661"],
+    "inf": lambda row, n_next: [row[0], "inf", row[2]],
+    "nan": lambda row, n_next: [row[0], row[1], "nan"],
+    "nul-byte": lambda row, n_next: [row[0], row[1] + "\x00", row[2]],
+    "bad-utf8": lambda row, n_next: [row[0], row[1] + "\udcff", row[2]],
+    "quoted-re": lambda row, n_next: [row[0], f'"{row[1]}"', row[2]],
+    "quoted-n": lambda row, n_next: [f'"{row[0]}"', row[1], row[2]],
+}
+
+
+@pytest.mark.parametrize("at", [0, 3, 7])
+@pytest.mark.parametrize("mutation", ROW_MUTATIONS)
+def test_spectrum_exit_code_follows_the_row_reader(tmp_path, capsys, mutation, at):
+    # the CLI exits 0 exactly where the row-by-row reference reader accepts the file, and 2
+    # with the validation error, never a traceback, where it does not
+    rows = [[str(n), repr(0.5 ** n), repr(-0.25 * n)] for n in (3, 0, 7, 1, 6, 2, 5, 4)]
+    rows[at] = ROW_MUTATIONS[mutation](rows[at], rows[(at + 1) % 8][0])
+    path = tmp_path / "c.csv"
+    text = "n,re,im\r\n" + "".join(",".join(row) + "\r\n" for row in rows)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    try:
+        load_by_rows(path)
+        accepted = True
+    except szegolab.ValidationError:
+        accepted = False
+    code = main(["spectrum", "--coeffs", str(path), "--M", "8"])
+    err = capsys.readouterr().err
+    assert code == (0 if accepted else 2), err
+    if not accepted:
+        assert "error (ValidationError)" in err and "Traceback" not in err
 
 
 def test_spectrum_csv_export(pair1, tmp_path, capsys):

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from szegolab import HardyFunction, ValidationError, sobolev_norm
-from szegolab.fileio import fmt, read_csv
+from szegolab.fileio import fmt
 from szegolab.hardy import _pow2_product
 
 from disc_extraction import InconsistentSamples, coeffs_from_disc_samples
-from references import weighted_first_moment
+from references import load_by_rows, weighted_first_moment
 
 
 def geometric_function(b=0.75, p=0.5, m=64):
@@ -215,35 +215,6 @@ def test_csv_rejects_bad_rows_and_bytes(tmp_path):
         path.write_bytes(raw)
         with pytest.raises(ValidationError, match="not a valid CSV file"):
             HardyFunction.load_csv(path)
-
-
-def load_by_rows(path):
-    """The row-by-row reader that load_csv's passes over all rows replaced, kept as their reference."""
-    _, rows = read_csv(path)
-    if not rows:
-        raise ValidationError(f"{path}: no coefficient rows")
-    coeffs = np.zeros(len(rows), dtype=complex)
-    seen = set()
-    for row in rows:
-        if len(row) != 3:
-            raise ValidationError(f"{path}: bad row {row}: need exactly 3 fields n,re,im")
-        if any("_" in field or not field.isascii() for field in row):
-            raise ValidationError(f"{path}: bad row {row}: non-ASCII and underscores are not accepted")
-        try:
-            n = int(row[0])
-            value = complex(float(row[1]), float(row[2]))
-        except ValueError as exc:
-            raise ValidationError(f"{path}: bad row {row}: {exc}") from exc
-        if not np.isfinite(value):
-            raise ValidationError(f"{path}: bad row {row}: re and im must be finite")
-        if not 0 <= n < len(rows):
-            raise ValidationError(f"{path}: bad row {row}: n = {n} outside 0..{len(rows) - 1}, "
-                                  f"so some index is missing")
-        if n in seen:
-            raise ValidationError(f"{path}: bad row {row}: n = {n} repeated")
-        seen.add(n)
-        coeffs[n] = value
-    return HardyFunction(coeffs)
 
 
 FIELDS = ["0", "1", "2", "3", "-1", "9" * 20, "1.5", "-0.0", " 2 ", "1_0", "\u0661", "inf", "0x10", "", "x"]

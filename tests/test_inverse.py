@@ -1,3 +1,4 @@
+import json
 import sys
 import threading
 import time
@@ -83,7 +84,7 @@ def test_data_json_rejects_unreadable_files(tmp_path):
 def test_data_json_roundtrip(tmp_path):
     d = SpectralData(np.array([0.9, 0.3, 0.1, 0.05]), np.array([0.0, 1.0, 2.0, 3.0]))
     path = tmp_path / "d.json"
-    d.save_json(path)
+    path.write_text(json.dumps({"pairs": [{"s": float(a), "psi": float(b)} for a, b in zip(d.s, d.psi)]}))
     e = SpectralData.load_json(path)
     assert np.array_equal(d.s, e.s) and np.array_equal(d.psi, e.psi)
 
@@ -351,6 +352,43 @@ def test_guarded_solve_passes_only_what_the_svd_passes(system):
             # rounding of about n eps cond relative
             assert cond <= bound * (1.0 + 4 * n * np.finfo(float).eps * bound)
         assert np.array_equal(x, np.linalg.solve(m, rhs))
+
+
+@st.composite
+def ceiling_systems(draw):
+    """(m, rhs, ceiling): a near-identity, random, graded, near-singular or singular (a zero
+    column) m of size 1..60, real or complex, and a ceiling in 1e4..1e13."""
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    kind = draw(st.sampled_from(["near-identity", "random", "graded", "near-singular", "singular"]))
+    m = rng.standard_normal((n, n))
+    if draw(st.booleans()):
+        m = m + 1j * rng.standard_normal((n, n))
+    if kind == "near-identity":
+        m = np.eye(n) + 10.0 ** draw(st.floats(-16.0, 0.0)) * m
+    elif kind == "graded":  # rows and columns scaled over up to 10 decades each
+        m *= 10.0 ** np.linspace(0.0, -draw(st.floats(0.0, 10.0)), n)[:, None]
+        m *= 10.0 ** np.linspace(0.0, -draw(st.floats(0.0, 10.0)), n)
+    elif kind == "near-singular":  # the last column a combination of the others, plus a nudge
+        m[:, -1] = m[:, :-1] @ rng.standard_normal(n - 1) + 10.0 ** -draw(st.floats(0.0, 18.0)) * m[:, -1]
+    elif kind == "singular":
+        m[:, rng.integers(n)] = 0.0
+    return m, rng.standard_normal(n), 10.0 ** draw(st.floats(4.0, 13.0))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(ceiling_systems())
+def test_guarded_solve_returns_only_within_its_ceiling(system):
+    # the proof, not its mechanism: a returned x means cond_2(m) <= ceiling, and a raise means
+    # cond_2(m) > ceiling (NaN included) or an LU that found m singular
+    m, rhs, ceiling = system
+    cond = np.linalg.cond(m)
+    try:
+        inverse_mod._guarded_solve(m, rhs, ceiling, SingularMatrix)
+    except SingularMatrix as exc:
+        assert not cond <= ceiling or isinstance(exc.__cause__, np.linalg.LinAlgError)
+    else:
+        assert cond <= ceiling
 
 
 def test_unknown_method():
