@@ -35,8 +35,6 @@ SKETCH_WIDTH = 16  # rows the sketch probes, so its widest; narrower blocks than
 def _hankel_rows(c: np.ndarray, m: int) -> np.ndarray:
     """(m+1) x m read-only view H[n, p] = c(n + p) of the coefficients c(0..2m-1), zero past
     the end of c; rows 0..m-1 are the plain matrix and rows 1..m the shifted one."""
-    if m < 1:
-        raise ValidationError(f"matrix size must be >= 1, got {m}")
     return np.lib.stride_tricks.sliding_window_view(_padded(c, 2 * m), m)
 
 
@@ -106,13 +104,9 @@ def _sketched_spectra(h: np.ndarray) -> list[np.ndarray] | None:
     diag = np.abs(r.diagonal())
     q = q[:, diag > 64 * np.finfo(float).eps * diag.max()]
     b = h @ q
-    # unit: the smaller Frobenius norm of b's two row ranges, at least that range's s_0
-    unit = min(np.linalg.norm(a) for a in (b[:-1], b[1:]))
-    if not unit > 0:
+    if not (b[:-1].any() and b[1:].any()):  # a row range of B is 0, Q of width 0 included
         return None
-    # ||h - b q*||_F^2 over chunks of 64 rows in one buffer, so no other k x k array
-    # exists; past 2 eps unit^2 the range whose norm is unit already fails the first
-    # condition, so the SVDs of b are taken only below it
+    # ||h - b q*||_F^2 over chunks of 64 rows in one buffer, so no other k x k array exists
     qh = q.conj().T
     buf = np.empty((64, k), dtype=complex)
     r2 = 0.0
@@ -120,8 +114,6 @@ def _sketched_spectra(h: np.ndarray) -> list[np.ndarray] | None:
         d = np.matmul(b[r0:r0 + 64], qh, out=buf[:min(64, k + 1 - r0)])
         d -= h[r0:r0 + 64]
         r2 += np.vdot(d, d).real
-        if r2 > 2 * np.finfo(float).eps * unit ** 2:
-            return None
     lists = [np.linalg.svd(a, compute_uv=False) for a in (b[:-1], b[1:])]
     return lists if all(_certified(s, np.sqrt(r2) / s[0]) for s in lists) else None
 
@@ -144,7 +136,8 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     to at most eps * ||u_hat(0..m-1)||_2. No value moves by more than eps * s_1: the
     dropped entries lie on antidiagonals of index >= k, each one coefficient times a
     partial permutation, so their operator norm is at most that sum (Weyl), while
-    s_1 >= ||H e_0|| = ||u_hat(0..m-1)||_2.
+    s_1 >= ||H e_0|| = ||u_hat(0..m-1)||_2. The block is built at size k from
+    u_hat(0..2k-1), so memory and time follow k, not m.
 
     Both lists then come from B = H Q, H now the (k+1) x k block, when k >= 2 SKETCH_WIDTH
     and the certificate below holds for both row ranges, and Q the identity otherwise,
@@ -173,9 +166,8 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     s_next^2 + ||R||_F^2 < (TAU_RANK s_0)^2, every later value of A stays below
     TAU_RANK * s_0 <= TAU_RANK * s_1(A), where the cut drops it from A as well. So
     the lists keep the trim's contract: the same values to eps * s_1, and the same
-    count unless a value lies within that distance of the cut. ||R||_F^2 is summed over
-    row chunks; once it exceeds 2 eps f^2, f the smaller Frobenius norm of B's two row
-    ranges, that range fails its first condition since s_0 <= f, and B's SVDs are skipped.
+    count unless a value lies within that distance of the cut. A row range of B that is
+    0 has no s_0 to certify against, and leaves the dense SVD.
 
     The caller owns the truncation: the trace at n >= m must stay below TAIL_RTOL of
     the total. All of this runs on v_hat = 2^-e u_hat, 2^(e-1) <= max |u_hat| < 2^e, and
@@ -185,12 +177,13 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     the reported tail mass to u_hat's, where it keeps full digits unless it is itself
     subnormal or inf.
     """
+    if m < 1:
+        raise ValidationError(f"matrix size must be >= 1, got {m}")
     v, e = _pow2_scaled(u.coeffs)
-    h = _hankel_rows(v, m)
     t, et = _check_tail(u, m)
     a = np.abs(v[:2 * m])  # |v_hat(0..2m-1)|: the zeros past the support add nothing below
     dropped = np.cumsum(a[::-1])[::-1]  # dropped[k] = sum of a[k:]
     k = min(m, max(1, np.count_nonzero(dropped > np.finfo(float).eps * np.hypot.reduce(a[:m]))))
     rho, sigma = (np.ldexp(_merge_close(s[s > TAU_RANK * s[0]], TAU_EIG), e)
-                  for s in _block_spectra(h[:k + 1, :k]))
+                  for s in _block_spectra(_hankel_rows(v, k)))
     return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=float(np.ldexp(t, 2 * et)))

@@ -62,6 +62,10 @@ def test_reconstruct_then_spectrum(pair1, tmp_path, capsys):
     rho = float(out.split("rho=")[1].split()[0].split(",")[0])
     sigma = float(out.split("sigma=")[1].split()[0].split(",")[0])
     assert abs(rho - 1.0) < 1e-8 and abs(sigma - 0.5) < 1e-8
+    # the block is built at the trimmed size, so an --M past the file's 64 rows allocates
+    # nothing more and prints the same
+    assert main(["spectrum", "--coeffs", str(coeffs), "--M", str(10 ** 11)]) == 0
+    assert capsys.readouterr().out == out
 
 
 def test_malformed_data_exit_2(tmp_path, capsys):
@@ -255,6 +259,61 @@ def test_spectrum_exit_code_follows_the_row_reader(tmp_path, capsys, mutation, a
         assert "error (ValidationError)" in err and "Traceback" not in err
 
 
+# each takes the s and psi texts of one object of a valid 4-object spectral-data file and the s
+# text of its neighbour, and gives that object's JSON text (None drops it) and the exit code;
+# "\udcff" is written as the byte 0xff, which is not UTF-8
+PAIR_MUTATIONS = {
+    "none": (lambda s, psi, near: f'{{"s": {s}, "psi": {psi}}}', 0),
+    "drop-psi": (lambda s, psi, near: f'{{"s": {s}}}', 2),
+    "unknown-key": (lambda s, psi, near: f'{{"s": {s}, "psi": {psi}, "phi": 0}}', 2),
+    "repeat-key": (lambda s, psi, near: f'{{"s": {s}, "psi": {psi}, "psi": {psi}}}', 2),
+    "string": (lambda s, psi, near: f'{{"s": "{s}", "psi": {psi}}}', 2),
+    "true": (lambda s, psi, near: f'{{"s": {s}, "psi": true}}', 2),
+    "null": (lambda s, psi, near: f'{{"s": null, "psi": {psi}}}', 2),
+    "nan": (lambda s, psi, near: f'{{"s": {s}, "psi": NaN}}', 2),
+    "infinity": (lambda s, psi, near: f'{{"s": Infinity, "psi": {psi}}}', 2),
+    "float-overflow": (lambda s, psi, near: f'{{"s": 1e400, "psi": {psi}}}', 2),
+    "int-overflow": (lambda s, psi, near: f'{{"s": {s}, "psi": {10 ** 400}}}', 2),
+    "odd-count": (lambda s, psi, near: None, 2),
+    "not-decreasing": (lambda s, psi, near: f'{{"s": {near}, "psi": {psi}}}', 2),
+    "zero-s": (lambda s, psi, near: f'{{"s": 0, "psi": {psi}}}', 2),
+    # s moved to within 1e-14 of its neighbour, still in order: 1 - q^2 is below EPS_DEN
+    "near-degenerate": (lambda s, psi, near: f'{{"s": {float(near) + (float(s) - float(near)) * 1e-14!r}, '
+                                             f'"psi": {psi}}}', 3),
+    "bad-utf8": (lambda s, psi, near: f'{{"s": {s}\udcff, "psi": {psi}}}', 2),
+}
+VALID_PAIRS = [("0.9", "0.5"), ("0.6", "1.5"), ("0.35", "-2.0"), ("0.125", "3.0")]
+
+
+def reconstruct_exit_code(tmp_path, capsys, text):
+    path = tmp_path / "d.json"
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    code = main(["reconstruct", "--data", str(path), "--modes", "8", "--out", str(tmp_path / "c.csv")])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code, err
+
+
+@pytest.mark.parametrize("at", [0, 3])
+@pytest.mark.parametrize("mutation", PAIR_MUTATIONS)
+def test_reconstruct_exit_code_follows_the_data_reader(tmp_path, capsys, mutation, at):
+    # a fault in one object of the spectral-data JSON exits 2 with the validation error, or 3
+    # where the data is valid but its denominators cancel; never a traceback
+    make, want = PAIR_MUTATIONS[mutation]
+    objs = [f'{{"s": {s}, "psi": {psi}}}' for s, psi in VALID_PAIRS]
+    objs[at] = make(*VALID_PAIRS[at], VALID_PAIRS[1 if at == 0 else 2][0])
+    code, err = reconstruct_exit_code(tmp_path, capsys, '{"pairs": [' + ", ".join(filter(None, objs)) + "]}")
+    assert code == want, err
+    assert err.startswith({0: "", 2: "error (ValidationError)", 3: "numerical failure (DegenerateSpectrum)"}[want])
+
+
+@pytest.mark.parametrize("text", ["", '[{"s": 0.9, "psi": 0}, {"s": 0.6, "psi": 0}]'],
+                         ids=["empty", "top-level-list"])
+def test_reconstruct_rejects_a_malformed_data_file(tmp_path, capsys, text):
+    code, err = reconstruct_exit_code(tmp_path, capsys, text)
+    assert code == 2 and err.startswith("error (ValidationError)")
+
+
 def test_spectrum_csv_export(pair1, tmp_path, capsys):
     coeffs = tmp_path / "c.csv"
     spec_csv = tmp_path / "spec.csv"
@@ -332,7 +391,9 @@ def _cap_address_space():
     (["sweep", "--task", "zero-gap", "--grid", "0:1e300:1e-300", "--out", "{tmp}/z.csv"],
      2, "more than 1e6"),
     (["sweep", "--task", "zero-gap", "--grid", "0:1e9:1", "--out", "{tmp}/z.csv"], 2, "more than 1e6"),
-    (["spectrum", "--coeffs", "{tmp}/coeffs.csv", "--M", "100000000000"], 2, "error (memory)"),
+    # the block is built at the trimmed size, so M = 1e11 prints what --M 2 prints
+    (["spectrum", "--coeffs", "{tmp}/coeffs.csv", "--M", "100000000000"], 0,
+     "rho=1.2071067811865477,0.20710678118654752"),
     (["reconstruct", "--data", "{tmp}/pair1.json", "--modes", "100000000000", "--out", "{tmp}/c.csv"],
      2, "error (memory)"),
     (["flow", "--data", "{tmp}/pair1.json", "--T", "1", "--dt", "0.01", "--modes", "100000000000",

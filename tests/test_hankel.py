@@ -1,6 +1,7 @@
 import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -140,6 +141,20 @@ def test_cost_follows_the_occupied_block():
     assert np.abs(spec.sigma - [0.5]).max() < 1e-15
 
 
+def test_spectrum_memory_follows_the_trimmed_block():
+    # the (k+1) x k block is built at the trimmed size k = 2, from 4 coefficients, not 2M
+    u = HardyFunction(np.array([1.0, 0.5]))
+    tracemalloc.start()
+    try:
+        spec = pair_singular_values(u, 10 ** 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    small = pair_singular_values(u, 2)
+    assert np.array_equal(spec.rho, small.rho) and np.array_equal(spec.sigma, small.sigma)
+
+
 def chain(n_pairs, seed, m=256, ratios=(0.45, 0.7)):
     rng = np.random.default_rng(seed)
     s = np.concatenate([[1.0], np.cumprod(rng.uniform(*ratios, 2 * n_pairs - 1))])
@@ -207,13 +222,12 @@ def test_certified_sketch_matches_the_dense_svd(u, monkeypatch):
                                               # truncation level holds more values than the sketch
 ])
 def test_failed_certificate_gives_the_dense_values(u, k, monkeypatch):
-    # the residual rejects the sketch (before or in the certificate), Q is the identity, and
-    # the values are those of the dense SVD of the k x k sections the coefficients occupy,
-    # bit for bit
+    # the certificate, the one test of the sketch, rejects it, Q is the identity, and the
+    # values are those of the dense SVD of the k x k sections the coefficients occupy, bit for bit
     assert k >= 2 * SKETCH_WIDTH
     seen = spy_certificates(monkeypatch)
     spec = pair_singular_values(u, 256)
-    assert not any(seen)
+    assert seen and not any(seen)
     assert np.array_equal(spec.rho, dense_values(_hankel_rows(u.coeffs, k)[:-1]))
     assert np.array_equal(spec.sigma, dense_values(_hankel_rows(u.coeffs, k)[1:]))
 
@@ -325,6 +339,13 @@ def test_zero_block_is_not_certified():
     k = 2 * SKETCH_WIDTH
     lists = hankel_mod._block_spectra(np.zeros((k + 1, k), dtype=complex))
     assert [s.size for s in lists] == [k, k] and not any(s.any() for s in lists)
+    # u_hat = (1, 0, ..., 0, 1e-15 at n = 50) at m = 32: Q spans e_0, so the plain rows pass
+    # the certificate and the shifted rows of B are 0, which nothing certifies; the dense SVD
+    # gives (1) and the 14 values 1e-15 of the shifted rows, merged into one
+    v = np.zeros(51)
+    v[[0, 50]] = 1.0, 1e-15
+    spec = pair_singular_values(HardyFunction(v), 32)
+    assert np.abs(np.concatenate((spec.rho, spec.sigma)) - [1.0, 1e-15]).max() <= 4 * np.finfo(float).eps
 
 
 def test_spectra_are_deterministic_across_calls_and_threads():
