@@ -110,13 +110,13 @@ def cmd_c1(args) -> None:
 
 
 def cmd_flow(args) -> None:
-    u0 = reconstruct_function(args.data, args.modes)
+    u0 = reconstruct_function(args.data, 2 * args.modes)  # a tail past --modes for integrate's guard
     traj = flow_mod.integrate(u0, args.t_final, args.dt, args.modes)
     rows = flow_mod.conservation_report(traj)
     write_csv(args.out, ["t", "mass", "h_half_norm", "sv_drift_max"],
               [(r.t, r.mass, r.h_half_norm, r.sv_drift_max) for r in rows])
     _print_kv([("samples", len(rows)), ("out", args.out),
-               ("final_sv_drift_max", rows[-1].sv_drift_max if rows else 0.0)])
+               ("final_sv_drift_max", rows[-1].sv_drift_max)])
 
 
 def cmd_flow_compare(args) -> None:
@@ -250,8 +250,9 @@ def main(argv=None) -> int:
     try:
         for name, value in vars(args).items():  # every int argument is a size
             # numpy counts an array's bytes in np.intp and past that range raises ValueError,
-            # not MemoryError; the first array a size n makes holds at most 2n complex values
-            if type(value) is int and value > np.iinfo(np.intp).max // (2 * np.dtype(complex).itemsize):
+            # not MemoryError; the first array a size n makes holds at most 4n complex values,
+            # as flow and flow-compare reconstruct 2n coefficients
+            if type(value) is int and value > np.iinfo(np.intp).max // (4 * np.dtype(complex).itemsize):
                 raise ValidationError(f"{name} = {value} is past the array sizes numpy can index")
         if "data" in vars(args):
             args.data = SpectralData.load_json(args.data)

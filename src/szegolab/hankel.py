@@ -27,7 +27,6 @@ from .fileio import write_csv
 from .hardy import HardyFunction, _padded, _pow2_scaled, _square_sum
 
 TAU_RANK = 1e-6    # relative singular-value cutoff for numerical rank
-TAU_EIG = 1e-9     # distinctness slack, relative to the largest value
 TAIL_RTOL = 1e-10  # largest tolerated tail_mass / total trace
 SKETCH_WIDTH = 16  # rows the sketch probes, so its widest; narrower blocks than twice this are not sketched
 
@@ -58,17 +57,10 @@ def _check_tail(u: HardyFunction, m: int) -> tuple[float, int]:
     return t, et
 
 
-def _merge_close(vals: np.ndarray, tau: float) -> np.ndarray:
-    """Collapse runs of values within tau of the largest (descending input) to their mean:
-    a new run starts where a value lies more than tau * vals[0] below the one before."""
-    gap = -np.diff(vals, prepend=np.inf)  # vals[i-1] - vals[i], and inf for i = 0
-    starts = np.flatnonzero(gap > tau * vals[:1])
-    return np.add.reduceat(vals, starts) / np.diff(starts, append=vals.size)
-
-
 @dataclass(frozen=True)
 class HankelSpectrum:
-    """Singular values of the plain and shifted Hankel matrices."""
+    """Singular values of the plain and shifted Hankel matrices, each one above the TAU_RANK
+    cut listed as often as it occurs."""
 
     rho: np.ndarray
     sigma: np.ndarray
@@ -131,6 +123,10 @@ def _block_spectra(h: np.ndarray) -> list[np.ndarray]:
 def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     """Descending singular-value lists of the m x m plain and shifted Hankel matrices.
 
+    Each list keeps every value of its matrix above TAU_RANK times its largest, as often as
+    it occurs, and merges none that nearly coincide: whether the data are generic (simple
+    values, no rho equal to a sigma) is read off the lists, not assumed by them.
+
     rho and sigma are those of rows 0..k-1 and 1..k of the leading (k+1) x k block of
     H, where k <= m is the least size whose dropped coefficients u_hat(k..2m-1) sum
     to at most eps * ||u_hat(0..m-1)||_2. No value moves by more than eps * s_1: the
@@ -184,6 +180,5 @@ def pair_singular_values(u: HardyFunction, m: int) -> HankelSpectrum:
     a = np.abs(v[:2 * m])  # |v_hat(0..2m-1)|: the zeros past the support add nothing below
     dropped = np.cumsum(a[::-1])[::-1]  # dropped[k] = sum of a[k:]
     k = min(m, max(1, np.count_nonzero(dropped > np.finfo(float).eps * np.hypot.reduce(a[:m]))))
-    rho, sigma = (np.ldexp(_merge_close(s[s > TAU_RANK * s[0]], TAU_EIG), e)
-                  for s in _block_spectra(_hankel_rows(v, k)))
+    rho, sigma = (np.ldexp(s[s > TAU_RANK * s[0]], e) for s in _block_spectra(_hankel_rows(v, k)))
     return HankelSpectrum(rho=rho, sigma=sigma, tail_mass=float(np.ldexp(t, 2 * et)))

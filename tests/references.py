@@ -20,8 +20,10 @@ from szegolab import (DegenerateSpectrum, GeometricParams, HankelSpectrum, Hardy
                       SpectralData, ValidationError, b_delta, f_gamma)
 from szegolab.geometric import _log_nome, _toeplitz_truncated, _winding_from_values
 from szegolab.fileio import read_csv
-from szegolab.hankel import TAU_EIG, _hankel_rows, _tail_sum
+from szegolab.hankel import _hankel_rows, _tail_sum
 from szegolab.hardy import _relative_gap, _square_sum
+
+INTERLACING_SLACK = 1e-9  # how far, relative to s_1, interlacing_ok lets the merged list rise
 
 
 def build_c_matrix(d: SpectralData, z: complex) -> np.ndarray:
@@ -171,9 +173,9 @@ def tail_mass(u: HardyFunction, m: int) -> float:
 
 
 def interlacing_ok(spectrum: HankelSpectrum) -> bool:
-    """Whether the merged list rho_1, sigma_1, rho_2, ... descends, to within TAU_EIG * s_1."""
+    """Whether the merged list rho_1, sigma_1, rho_2, ... descends, to within INTERLACING_SLACK * s_1."""
     s = spectrum.merged()
-    return bool(s.size == 0 or np.all(s[:-1] >= s[1:] - TAU_EIG * s[0]))
+    return bool(s.size == 0 or np.all(s[:-1] >= s[1:] - INTERLACING_SLACK * s[0]))
 
 
 def load_by_rows(path):

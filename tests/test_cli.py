@@ -68,6 +68,20 @@ def test_reconstruct_then_spectrum(pair1, tmp_path, capsys):
     assert capsys.readouterr().out == out
 
 
+def test_reconstruct_then_spectrum_keeps_near_degenerate_values(tmp_path, capsys):
+    # three values within 6e-10 of each other come back as 2 rho and 2 sigma, none averaged away
+    s = [1.0, 1 - 3e-10, 1 - 6e-10, 0.35]
+    data, coeffs = tmp_path / "near.json", tmp_path / "coeffs.csv"
+    data.write_text(json.dumps({"pairs": [{"s": v, "psi": p} for v, p in zip(s, np.linspace(0.3, 2.0, 4))]}))
+    assert main(["reconstruct", "--data", str(data), "--modes", "256", "--out", str(coeffs)]) == 0
+    capsys.readouterr()
+    assert main(["spectrum", "--coeffs", str(coeffs), "--M", "256"]) == 0
+    out = capsys.readouterr().out
+    rho, sigma = (np.array(out.split(f"{key}=")[1].split()[0].split(","), dtype=float) for key in ("rho", "sigma"))
+    assert rho.size == 2 and np.all(np.abs(rho - s[0::2]) <= 1e-14 * np.array(s[0::2]))
+    assert sigma.size == 2 and np.all(np.abs(sigma - s[1::2]) <= 1e-14 * np.array(s[1::2]))
+
+
 def test_malformed_data_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"pairs": [{"s": 0.5, "psi": 0.0}, {"s": 0.5, "psi": 0.0}]}))
@@ -438,16 +452,22 @@ def _cap_address_space():
     # nested past the recursion limit, where json.load raises RecursionError
     (["certify", "--data", "{tmp}/nested.json"], 2, "nested.json: not valid JSON"),
     # the conservation CSV writes a mass past the double range as inf
-    (["flow", "--data", "{tmp}/big.json", "--T", "0", "--dt", "5e-324", "--modes", "8", "--out", "{tmp}/t.csv"],
+    (["flow", "--data", "{tmp}/big.json", "--T", "0", "--dt", "5e-324", "--modes", "64", "--out", "{tmp}/t.csv"],
      0, "samples=1"),
     # the steps and the dt |u|^2 <= 0.1 check run on u scaled by a power of two into range
     (["flow", "--data", "{tmp}/big150.json", "--T", "1e-300", "--dt", "1e-303", "--modes", "64",
       "--out", "{tmp}/t.csv"], 0, "samples=17"),
-    (["flow", "--data", "{tmp}/big.json", "--T", "1e-321", "--dt", "5e-324", "--modes", "8",
+    (["flow", "--data", "{tmp}/big.json", "--T", "1e-321", "--dt", "5e-324", "--modes", "64",
       "--out", "{tmp}/t.csv"], 2, "too large for max |u|"),
     # a NaN in a comma list would leave the sorted rows out of order
     *[(["sweep", "--task", "zero-gap", "--grid", grid, "--out", "{tmp}/z.csv"], 2, "must be finite")
       for grid in ("0.5,nan,0.2,0.7", "inf")],
+    # s = (1, 0.5) leaves 1.07e-4 of its trace past 8 modes: the flow commands reconstruct
+    # 2 --modes coefficients, so the tail guard reads it
+    (["flow", "--data", "{tmp}/pair1.json", "--T", "1", "--dt", "0.01", "--modes", "8", "--out", "{tmp}/t.csv"],
+     3, "InsufficientTruncation"),
+    (["flow-compare", "--data", "{tmp}/pair1.json", "--T", "1", "--dt", "0.01", "--modes", "8"],
+     3, "InsufficientTruncation"),
 ])
 def test_exit_code_contract(tmp_path, argv, code, text):
     for name, s in CONTRACT_DATA.items():

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import szegolab.hankel as hankel_mod
 from szegolab import (HardyFunction, InsufficientTruncation, NumericalError, SpectralData, ValidationError,
                       integrate, pair_singular_values, reconstruct_function, sobolev_norm)
-from szegolab.hankel import SKETCH_WIDTH, TAU_EIG, TAU_RANK, HankelSpectrum, _hankel_rows, _merge_close
+from szegolab.hankel import SKETCH_WIDTH, TAU_RANK, HankelSpectrum, _hankel_rows
 
 from references import (check_rank_one_identity, check_trace_identity, interlacing_ok, sum_rule_residual,
                         tail_mass)
@@ -81,11 +81,23 @@ def test_constant_function_spectrum():
     assert np.array_equal(spec.merged(), spec.rho)
 
 
-def test_antidiagonal_multiplicity_merges():
+def test_antidiagonal_multiplicity_is_kept():
+    # z^3 at m = 4: H is the 4 x 4 antidiagonal permutation, the shifted matrix has three ones
     u = HardyFunction(np.array([0.0, 0.0, 0.0, 1.0]))
     spec = pair_singular_values(u, 4)
-    assert spec.rho.size == 1 and abs(spec.rho[0] - 1.0) < 1e-12
-    assert spec.sigma.size == 1 and abs(spec.sigma[0] - 1.0) < 1e-12
+    assert spec.rho.size == 4 and np.abs(spec.rho - 1.0).max() < 1e-12
+    assert spec.sigma.size == 3 and np.abs(spec.sigma - 1.0).max() < 1e-12
+
+
+@pytest.mark.parametrize("coeffs, n_rho, n_sigma", [
+    ([0.0, 1.0], 2, 1),       # z
+    ([0.0, 0.0, 1.0], 3, 2),  # z^2, told apart from z by the counts
+    ([1.0, 0.0, 1.0], 3, 2),  # 1 + z^2: sigma = (1, 1)
+])
+def test_multiple_values_are_listed_as_often_as_they_occur(coeffs, n_rho, n_sigma):
+    spec = pair_singular_values(HardyFunction(np.array(coeffs)), 8)
+    assert (spec.rho.size, spec.sigma.size) == (n_rho, n_sigma)
+    assert np.abs(spec.sigma - 1.0).max() < 1e-12
 
 
 def test_interlacing_random_draws():
@@ -99,7 +111,7 @@ def test_interlacing_random_draws():
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-12, 1e-160, 1e-300])
 def test_spectrum_commutes_with_scaling(scale):
-    # the cut, merge and interlacing tolerances are relative and the SVD squares nothing,
+    # the cut and interlacing tolerances are relative and the SVD squares nothing,
     # so tiny data keeps its four values down to the bottom of the double range
     s = scale * np.array([1.0, 0.3, 0.09, 0.027])
     spec = pair_singular_values(reconstruct_function(SpectralData(s, np.zeros(4)), 128), 128)
@@ -185,7 +197,7 @@ def flow_states():
 
 def dense_values(a):
     s = np.linalg.svd(a, compute_uv=False)
-    return _merge_close(s[s > TAU_RANK * s[0]], TAU_EIG)
+    return s[s > TAU_RANK * s[0]]
 
 
 def spy_certificates(monkeypatch):
@@ -341,11 +353,12 @@ def test_zero_block_is_not_certified():
     assert [s.size for s in lists] == [k, k] and not any(s.any() for s in lists)
     # u_hat = (1, 0, ..., 0, 1e-15 at n = 50) at m = 32: Q spans e_0, so the plain rows pass
     # the certificate and the shifted rows of B are 0, which nothing certifies; the dense SVD
-    # gives (1) and the 14 values 1e-15 of the shifted rows, merged into one
+    # gives (1) and the 14 values 1e-15 of the shifted rows
     v = np.zeros(51)
     v[[0, 50]] = 1.0, 1e-15
     spec = pair_singular_values(HardyFunction(v), 32)
-    assert np.abs(np.concatenate((spec.rho, spec.sigma)) - [1.0, 1e-15]).max() <= 4 * np.finfo(float).eps
+    assert np.abs(spec.rho - [1.0]).max() <= 4 * np.finfo(float).eps
+    assert np.array_equal(spec.sigma, np.full(14, 1e-15))
 
 
 def test_spectra_are_deterministic_across_calls_and_threads():
@@ -420,41 +433,11 @@ def test_phase_invariance():
     assert np.abs(base.sigma ** 2 - rot.sigma ** 2).max() < 1e-12 * scale
 
 
-def merge_close_loop(vals, tau):
-    out, run = [], []
-    for v in vals:
-        if run and run[-1] - v > tau * vals[0]:
-            out.append(np.mean(run))
-            run = []
-        run.append(v)
-    return np.array(out + [np.mean(run)] if run else out, dtype=float)
-
-
 def merged_loop(rho, sigma):
     out = []
     for j in range(max(rho.size, sigma.size)):
         out += [x[j] for x in (rho, sigma) if j < x.size]
     return np.array(out, dtype=float)
-
-
-TAU = 2.0 ** -20
-
-
-@pytest.mark.parametrize("vals, runs", [
-    ([1.0, 1 - 0.6 * TAU, 1 - 1.2 * TAU, 1 - 1.8 * TAU, 0.5], 2),  # chained: each gap <= TAU,
-                                                                  # the spread > TAU
-    ([1.0, 1 - TAU, 0.5], 2),                                      # a gap of exactly TAU merges
-    ([1.0, 1 - TAU - 2.0 ** -52, 0.5], 3),                         # one just above it does not
-    ([4.0, 3.0, 1.0, 1.0, 1.0], 3),                                # a run at the end
-    ([2.5], 1),
-    ([], 0),
-    (np.repeat(np.linspace(1.0, 0.1, 40), np.arange(40) % 4 + 1), 40),  # ties of 1 to 4 values
-])
-def test_merge_close_matches_the_loop(vals, runs):
-    vals = np.array(vals, dtype=float)
-    got = _merge_close(vals, TAU)
-    assert got.size == runs
-    assert got.tobytes() == merge_close_loop(vals, TAU).tobytes()
 
 
 @pytest.mark.parametrize("n_rho, n_sigma", [(0, 0), (3, 3), (4, 3), (1, 0), (2, 4)])
